@@ -35,6 +35,7 @@ from .errors import (
     ExprSyntaxError,
     InseparableFactor,
     NotPrime,
+    OredecompError,
     ReducibleModulus,
     RetryExhausted,
     VerificationFailed,
@@ -464,6 +465,18 @@ def _make_argparser():
     return parser
 
 
+# Exit code per error class; the first matching row wins, and the last row
+# catches every other domain error.
+_EXIT_CODES = (
+    ((ExprSyntaxError, DivisionByOperator, DivisionByZero,
+      NotPrime, ReducibleModulus, DegreeMismatch, ValueError), 2),
+    ((InseparableFactor,), 3),
+    ((VerificationFailed, ConstantFieldViolation), 4),
+    ((RetryExhausted,), 5),
+    ((OredecompError,), 6),
+)
+
+
 def run(argv) -> int:
     parser = _make_argparser()
     try:
@@ -473,19 +486,10 @@ def run(argv) -> int:
     try:
         field = _build_field(args)
         doc = _COMMANDS[args.command](args, field)
-    except (ExprSyntaxError, DivisionByOperator, DivisionByZero,
-            NotPrime, ReducibleModulus, DegreeMismatch, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except InseparableFactor as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
-    except (VerificationFailed, ConstantFieldViolation) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 4
-    except RetryExhausted as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 5
+    except (OredecompError, ValueError) as exc:
+        print(json.dumps({"error": str(exc), "class": type(exc).__name__}),
+              file=sys.stderr)
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
     text = json.dumps(doc, indent=2)
     print(text)
     if args.json_out:

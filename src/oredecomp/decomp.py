@@ -7,16 +7,22 @@ has no inseparable irreducible factor, the pipeline:
    their p-th roots Q_1 | ... | Q_m over GF(q)(t);
 2. when m = p, strips maximal central divisors N(D^p)^nu, emitting them
    directly (irreducible central case) or as p explicitly decomposed pieces;
-3. builds a representative L* with the residual invariants from first-order
-   data in the extensions K_N (through the Artin-Schreier witnesses), whose
-   decomposition is known by construction;
-4. finds an isomorphism of quotient modules D_L* -> D_L as a random
+3. when the residual chain has a single nontrivial entry Q_m (cyclic
+   residual p-curvature), the decomposition is unique and equals the primary
+   decomposition: one factor GCRD(L, N^nu(D^p)) per irreducible N_*^nu || Q_m,
+   and steps 4-6 are skipped;
+4. otherwise builds a representative L* with the residual invariants from
+   first-order data in the extensions K_N (through the Artin-Schreier
+   witnesses), whose decomposition is known by construction;
+5. finds an isomorphism of quotient modules D_L* -> D_L as a random
    GCRD-coprime element of the kernel of M |-> L*M mod L, a GF(q)(t^p)-linear
    map; and
-5. propagates the known decomposition through the isomorphism by GCRDs.
+6. propagates the known decomposition through the isomorphism by GCRDs.
 
 Every returned decomposition is re-verified exactly: LCLM re-check, order
-sum, right-divisibility and per-factor indecomposability.
+sum, right-divisibility and per-factor indecomposability.  The report's
+iso_witness is None whenever no isomorphism is computed (order 1, fully
+central inputs, and the cyclic case of step 3).
 """
 
 from __future__ import annotations
@@ -153,16 +159,18 @@ def check_hypothesis(L: OrePoly):
     return check_separable_factors(L)
 
 
+def _primary_component(L: OrePoly, n_star: Poly, nu: int) -> OrePoly:
+    """GCRD(L, N^nu(D^p)): the right factor of L whose module is the
+    N_*-primary part of D_L, for N_*^nu exactly dividing chi's p-th root."""
+    return gcrd(L, central_operator(n_star, L.field.base.p * nu))
+
+
 def first_decomposition(L: OrePoly):
     """Split L along the distinct irreducible factors of chi:
     L_i = GCRD(L, N_i^(p*nu_i) read as a central operator).  Returns
     [(L_i, N_i_star, nu_i)] with the orders of the L_i summing to ord L."""
     factors = check_hypothesis(L)
-    p = L.field.base.p
-    out = []
-    for n_star, nu in factors:
-        li = gcrd(L, central_operator(n_star, p * nu))
-        out.append((li, n_star, nu))
+    out = [(_primary_component(L, n_star, nu), n_star, nu) for n_star, nu in factors]
     if sum(li.order for li, _, _ in out) != L.order:
         raise VerificationFailed("first decomposition lost order")
     return out
@@ -445,6 +453,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
     collected: list[OrePoly] = []
     labels: list[FactorLabel] = []
     witnesses: dict = {}
+    stripped = set()
     cur_l = l_mon
 
     if l_mon.order == 1:
@@ -458,6 +467,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
             if nu_first != nu_last:
                 continue
             nu = nu_last
+            stripped.add(n_star)
             central = central_operator(n_star, p * nu)
             cur_l = exact_right_quotient_central(cur_l, central).monic()
             # equal first and last valuations force nu_N(Q_i) = nu for all i,
@@ -485,7 +495,17 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
                 labels.extend(sub.labels)
 
     iso_witness = None
-    if cur_l.order > 0:
+    if cur_l.order > 0 and all(q.degree == 0 for q in chain[:-1]):
+        # cyclic residual p-curvature: every N_* occurs in Q_m only, so an
+        # irreducible central symbol (whose invariants come in p equal
+        # copies) is impossible and the decomposition is the primary one
+        residual = [(n, nu) for n, nu in list_factor if n not in stripped]
+        if len(residual) == 1:
+            collected.append(cur_l)
+        else:
+            collected.extend(_primary_component(cur_l, n, nu) for n, nu in residual)
+        labels.extend(FactorLabel(n, nu, m) for n, nu in residual)
+    elif cur_l.order > 0:
         rep = nice_repr(chain, witnesses=witnesses)
         basis = hom_space(rep.l_star, cur_l)
         iso_witness = pick_iso(rep.l_star, cur_l, basis, rng)

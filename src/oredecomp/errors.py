@@ -86,10 +86,6 @@ class ConstantFieldViolation(OredecompError):
     constant subfield GF(q)(t^p) does not.  Indicates a bug."""
 
 
-class NotAPthPower(OredecompError):
-    """A rational function expected to be a p-th power is not."""
-
-
 # -- decomposition pipeline ---------------------------------------------------
 
 class InseparableFactor(OredecompError):

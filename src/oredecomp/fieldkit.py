@@ -92,7 +92,6 @@ def _gfp_divmod(a, b, p):
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lb = pow(b[-1], -1, p)
-    db = len(b) - 1
     while len(r) >= len(b):
         c = (r[-1] * inv_lb) % p
         k = len(r) - len(b)
@@ -740,35 +739,6 @@ def poly_pth_root(f: Poly) -> Poly | None:
     if d is None:
         return None
     return d.map_coeffs(lambda c: c.frobenius_inverse())
-
-
-# ---------------------------------------------------------------------------
-# A thin "coefficient ring" adapter so Poly can nest (bivariate work)
-# ---------------------------------------------------------------------------
-
-class PolyRing:
-    """GF(q)[t] seen as a coefficient ring for polynomials in a second
-    variable.  Only the ring part of the field protocol is provided; no
-    division happens through this adapter."""
-
-    __slots__ = ("base", "zero", "one")
-
-    def __init__(self, base: FqField):
-        self.base = base
-        self.zero = Poly.zero(base)
-        self.one = Poly.one(base)
-
-    def from_int(self, k):
-        return Poly.const(self.base, self.base.from_int(k))
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("PolyRing", self.base))
-
-    def __repr__(self):
-        return "%r[t]" % self.base
 
 
 # ---------------------------------------------------------------------------

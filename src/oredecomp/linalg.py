@@ -11,8 +11,8 @@ Smith normal form of Y*I - A over the polynomial ring.
 
 from __future__ import annotations
 
-from .errors import NotSquare
-from .fieldkit import Poly, RatFunc, RatFuncField, poly_gcd, poly_lcm
+from .errors import NotSquare, VerificationFailed
+from .fieldkit import Poly, RatFunc, RatFuncField, poly_lcm
 
 
 class Matrix:
@@ -199,7 +199,7 @@ class DependencyFinder:
             return combo
         inv = v[piv].inv()
         v = [x * inv for x in v]
-        combo = [x * inv for x in combo] + [field.zero] * 0
+        combo = [x * inv for x in combo]
         self._rows.append((piv, v, combo))
         return None
 
@@ -370,14 +370,7 @@ def invariant_factors(M: Matrix) -> list[Poly]:
             B[k] = [a + b for a, b in zip(B[k], B[bad])]
 
     diag = [B[k][k].monic() for k in range(n) if B[k][k]]
-    # safety sweep: enforce the divisibility chain (a no-op for a correct SNF)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if diag[i + 1].divmod(diag[i])[1]:
-                g = poly_gcd(diag[i], diag[i + 1])
-                l = (diag[i] * diag[i + 1]).divmod(g)[0].monic()
-                diag[i], diag[i + 1] = g, l
-                changed = True
+    for a, b in zip(diag, diag[1:]):
+        if b.divmod(a)[1]:
+            raise VerificationFailed("Smith form diagonal is not a divisibility chain")
     return [d for d in diag if d.degree > 0]

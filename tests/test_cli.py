@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from oredecomp.cli import operator_str, parse_operator, parse_ypoly, run, spoly_str
-from oredecomp.errors import DivisionByOperator, ExprSyntaxError
+from oredecomp.errors import DivisionByOperator, ExprSyntaxError, NoGoodSpecialization
 from oredecomp.fieldkit import Poly, RatFuncField, fq_make
 from oredecomp.ore import OrePoly, ore_pow
 
@@ -128,10 +131,10 @@ def test_run_deterministic_output(capsys):
 
 def test_run_exit_codes(capsys):
     assert run(["decompose", "--p", "3", "--expr", "D + ?"]) == 2
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().err)["class"] == "ExprSyntaxError"
     # D^3 - t violates the separability hypothesis
     assert run(["decompose", "--p", "3", "--expr", "D^3 - t"]) == 3
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().err)["class"] == "InseparableFactor"
     assert run(["apply", "--p", "3", "--expr", "D/D"]) == 2
     capsys.readouterr()
 
@@ -228,3 +231,44 @@ def test_parser_edge_expressions():
 
     with pytest.raises(DivisionByZero):
         parse_operator("D/(t-t)", F3)
+
+
+def _error_doc(capsys):
+    return json.loads(capsys.readouterr().err)
+
+
+def test_run_other_domain_errors_exit_6(monkeypatch, capsys):
+    assert run(["decompose", "--p", "5", "--expr", "0"]) == 6
+    assert _error_doc(capsys)["class"] == "ZeroOperator"
+    assert run(["gcrd", "--p", "3", "--expr", "0", "--expr", "0"]) == 6
+    assert _error_doc(capsys)["class"] == "BothZero"
+    # Y - 1/t has an irreducible central symbol over GF(3)(t)
+    assert run(["repr", "--p", "3", "--invariants", "Y - 1/t"]) == 6
+    assert _error_doc(capsys)["class"] == "CentralIrreducibleFactor"
+
+    def no_point(*args, **kwargs):
+        raise NoGoodSpecialization("no evaluation point")
+
+    monkeypatch.setattr("oredecomp.cli.lclm_decompose", no_point)
+    assert run(["decompose", "--p", "3", "--expr", "D"]) == 6
+    doc = _error_doc(capsys)
+    assert doc == {"error": "no evaluation point", "class": "NoGoodSpecialization"}
+
+
+def test_python_dash_m_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    ok = subprocess.run(
+        [sys.executable, "-m", "oredecomp", "lclm", "--p", "3", "--expr", "D",
+         "--expr", "D - 1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["result"] == "D^2 + (2)*D"
+    bad = subprocess.run(
+        [sys.executable, "-m", "oredecomp", "decompose", "--p", "5", "--expr", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 6 and "Traceback" not in bad.stderr
+    assert json.loads(bad.stderr)["class"] == "ZeroOperator"

@@ -478,3 +478,56 @@ def test_decompose_over_gf4():
     L = lclm([D - OrePoly.const(R, g), D - OrePoly.const(R, g * g)])
     out = lclm_decompose(L, seed=0)
     assert out.verified and len(out.factors) == 2
+
+
+# -- the cyclic shortcut ---------------------------------------------------------
+
+def test_lclm_decompose_cyclic_skips_isomorphism(monkeypatch):
+    # four inequivalent first-order pieces over GF(5): chi's root is
+    # squarefree, the p-curvature cyclic, and the primary decomposition is the
+    # answer, read off without L*, the ASD solve or the hom space
+    import oredecomp.decomp as decomp_mod
+
+    R, t, D, one = _setup(5)
+    L = lclm([D, D - one, D - OrePoly.const(R, R.from_int(2)),
+              D - OrePoly.const(R, t)])
+    expected = {li for li, _, _ in first_decomposition(L)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cyclic case must not reach this stage")
+
+    monkeypatch.setattr(decomp_mod, "hom_space", forbidden)
+    monkeypatch.setattr(decomp_mod, "central_operator_reducible", forbidden)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.iso_witness is None
+    assert len(report.invariants) == 1
+    assert set(report.factors) == expected and len(report.factors) == 4
+    assert {lab.shift for lab in report.labels} == {1}
+
+
+def test_lclm_decompose_non_cyclic_keeps_isomorphism():
+    # D and D + 1/t are equivalent: the chain [Y, Y] is not cyclic, and the
+    # decomposition goes through an isomorphism with a representative
+    R, t, D, one = _setup(5)
+    L = lclm([D, D + OrePoly.const(R, R.one / t)])
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and len(report.invariants) == 2
+    assert report.iso_witness is not None
+    assert sorted(f.order for f in report.factors) == [1, 1]
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 2)])
+def test_lclm_decompose_cyclic_matches_first_decomposition(p, n):
+    R, t, D, one = _setup(p, n)
+    rng = random.Random(100 * p + n)
+    for _ in range(4):
+        a = rand_ratfunc(R, rng, 1, 1)
+        b = rand_ratfunc(R, rng, 1, 1)
+        L = lclm([D - OrePoly.const(R, a), D - OrePoly.const(R, b)])
+        report = lclm_decompose(L, seed=0)
+        assert report.verified
+        assert lclm(report.factors) == L.monic()
+        # inequivalent pieces (distinct chi-roots) for these seeds: cyclic
+        assert len(report.invariants) == 1 and report.iso_witness is None
+        expected = {li for li, _, _ in first_decomposition(L)}
+        assert set(report.factors) == expected and len(expected) == 2
