@@ -8,12 +8,16 @@ defining relation:  a' = -(dN/dt)(a) / (dN/dY)(a).
 Elements are coordinate vectors in the power basis 1, a, ..., a^(deg-1).
 Degree-1 extensions run through the same code path, with a equal to a
 rational function.
+
+The p-th power is taken by Frobenius: (sum_j c_j a^j)^p = sum_j c_j^p (a^p)^j,
+where c_j^p is the coefficient map c -> c^p on GF(q) followed by t -> t^p, and
+the powers (a^p)^j are built once per field, on first use.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero, Inseparable, NotIrreducible
-from .fieldkit import Poly, RatFunc, RatFuncField, poly_xgcd
+from .fieldkit import Poly, RatFunc, RatFuncField, binary_power, poly_xgcd
 
 
 class ExtElem:
@@ -75,14 +79,7 @@ class ExtElem:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, self.field.one)
 
     def derivative(self) -> "ExtElem":
         """The extension of d/dt: coordinatewise derivative plus the
@@ -99,7 +96,16 @@ class ExtElem:
         return coordwise + chain
 
     def pth_power(self) -> "ExtElem":
-        return self ** self.field.ratfield.base.p
+        """u^p = sum_j c_j^p (a^p)^j.  The Frobenius of a coordinate c is a
+        coefficient map (c -> c^p on GF(q), t -> t^p): no product, no gcd."""
+        f = self.field
+        p = f.ratfield.base.p
+        frob = [c.frobenius_coeffs().inflate(p) if c else c for c in self.coords]
+        out = [frob[0]] + [f.ratfield.zero] * (f.deg - 1)
+        for cp, w in zip(frob[1:], f.gen_pth_powers()[1:]):
+            if cp:
+                out = [x + cp * y if y else x for x, y in zip(out, w.coords)]
+        return ExtElem(f, out)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
@@ -121,7 +127,8 @@ class ExtElem:
 class ExtField:
     """Descriptor of K = GF(q)(t)[a]/(N(a)) as a differential field."""
 
-    __slots__ = ("ratfield", "modulus", "deg", "zero", "one", "gen", "gen_prime")
+    __slots__ = ("ratfield", "modulus", "deg", "zero", "one", "gen", "gen_prime",
+                 "_gen_pth_powers")
 
     def __init__(self, modulus: Poly):
         ratfield = modulus.field
@@ -148,6 +155,18 @@ class ExtField:
         # implicit differentiation of N(a) = 0
         n_t = modulus.map_coeffs(lambda c: c.derivative())
         self.gen_prime = -self._eval_ypoly(n_t) / self._eval_ypoly(n_y)
+        self._gen_pth_powers = None
+
+    def gen_pth_powers(self) -> tuple:
+        """(a^p)^j for 0 <= j < deg, built on first use."""
+        if self._gen_pth_powers is None:
+            powers = [self.one]
+            if self.deg > 1:
+                a_p = self.gen ** self.ratfield.base.p
+                for _ in range(self.deg - 1):
+                    powers.append(powers[-1] * a_p)
+            self._gen_pth_powers = tuple(powers)
+        return self._gen_pth_powers
 
     def _from_poly(self, p: Poly) -> ExtElem:
         coords = list(p.coeffs) + [self.ratfield.zero] * (self.deg - len(p.coeffs))

@@ -20,7 +20,10 @@ has no inseparable irreducible factor, the pipeline:
 6. propagates the known decomposition through the isomorphism by GCRDs.
 
 Every returned decomposition is re-verified exactly: LCLM re-check, order
-sum, right-divisibility and per-factor indecomposability.  The report's
+sum, right-divisibility and per-factor indecomposability.  One run solves
+the Artin-Schreier system at most once per N_*: its verdict store is filled
+by stripping and nice_repr and read by verification, which also reuses the
+run's p-curvature record for a factor equal to the input.  The report's
 iso_witness is None whenever no isomorphism is computed (order 1, fully
 central inputs, and the cyclic case of step 3).
 """
@@ -60,10 +63,13 @@ from .ore import (
 )
 from .serialize import ypoly_str
 from .pcurv import (
+    PCurvData,
     central_operator,
     check_separable_factors,
+    invariants_pth_root,
     pcurv_data,
     ratfunc_from_constants,
+    separable_factors,
 )
 from .yfactor import factor_monic_in_y, is_separable_irreducible
 
@@ -210,6 +216,16 @@ def minimal_rational_multiple(R: OrePoly, ext: ExtField) -> OrePoly:
 # Canonical representatives (nice_repr)
 # ---------------------------------------------------------------------------
 
+def _verdict(n_star: Poly, witnesses: dict):
+    """The ASD verdict on N_*'s central symbol, solved at most once per
+    store."""
+    verdict = witnesses.get(n_star)
+    if verdict is None:
+        verdict = central_operator_reducible(n_star)
+        witnesses[n_star] = verdict
+    return verdict
+
+
 def _multiplicity(n_star: Poly, q_poly: Poly) -> int:
     m = 0
     while q_poly.degree >= n_star.degree:
@@ -230,6 +246,9 @@ def nice_repr(request, witnesses: dict | None = None) -> NiceRepr:
     nu = nu_N(Q_i) > 0, the piece is the shift by i/t of the minimal rational
     multiple of (tD - t f_N)^nu over K_N, where f_N is the Artin-Schreier
     witness of N_*.  L* is the LCLM of the pieces.
+
+    ``witnesses`` is a verdict store {N_*: ReducibilityVerdict}: verdicts in
+    it are reused, and the ones computed here are added to it.
     """
     chain = list(request.chain if isinstance(request, InvariantRequest) else request)
     if not chain or all(q.degree == 0 for q in chain):
@@ -246,7 +265,8 @@ def nice_repr(request, witnesses: dict | None = None) -> NiceRepr:
     for a, b in zip(chain, chain[1:]):
         if a.degree > 0 and b.divmod(a)[1]:
             raise EmptyRequest("chain entries must form a divisibility chain")
-    witnesses = dict(witnesses) if witnesses else {}
+    if witnesses is None:
+        witnesses = {}
 
     q_m = chain[-1]
     pieces = []
@@ -257,10 +277,7 @@ def nice_repr(request, witnesses: dict | None = None) -> NiceRepr:
             raise InseparableFactor(
                 "inseparable factor in the request: %s" % ypoly_str(n_star)
             )
-        verdict = witnesses.get(n_star)
-        if verdict is None:
-            verdict = central_operator_reducible(n_star)
-            witnesses[n_star] = verdict
+        verdict = _verdict(n_star, witnesses)
         if not verdict.reducible:
             raise CentralIrreducibleFactor(
                 "central symbol of %s is irreducible" % ypoly_str(n_star)
@@ -376,23 +393,34 @@ def propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
 # Indecomposability
 # ---------------------------------------------------------------------------
 
-def is_indecomposable(L: OrePoly) -> bool:
-    """True when D_L does not split: chi's p-th root is a power of a single
-    irreducible N_*, and either the central symbol of N_* is reducible and
-    the p-curvature has a single invariant factor, or it is irreducible and
-    L is exactly a power of it."""
+def is_indecomposable(L: OrePoly, *, witnesses: dict | None = None,
+                      data: PCurvData | None = None) -> bool:
+    """True when D_L does not split: chi's p-th root is a power N_*^k of a
+    single irreducible N_*, and either the central symbol of N_* is reducible
+    and the p-curvature has a single invariant factor, or it is irreducible
+    and L is exactly a power of it.
+
+    The ASD verdict is needed only when p divides k: an irreducible symbol
+    makes every simple module of order p deg N_*, hence k a multiple of p,
+    so for k prime to p the symbol is reducible.
+
+    ``witnesses`` is a verdict store as in nice_repr and ``data`` the
+    p-curvature record of L, when the caller has them; a call without them
+    solves and computes its own.
+    """
     if L.order < 1:
         return False
     if L.order == 1:
         return True
-    factors = check_separable_factors(L)
+    if data is None:
+        data = pcurv_data(L)
+    factors = separable_factors(invariants_pth_root(data.charpoly))
     if len(factors) != 1:
         return False
-    n_star, _ = factors[0]
+    n_star, k = factors[0]
     p = L.field.base.p
-    verdict = central_operator_reducible(n_star)
-    if verdict.reducible:
-        return len(pcurv_data(L).invariants) == 1
+    if k % p or _verdict(n_star, {} if witnesses is None else witnesses).reducible:
+        return len(data.invariants) == 1
     block = central_operator(n_star, p)
     cur = L.monic()
     while cur.order > 0:
@@ -407,17 +435,28 @@ def is_indecomposable(L: OrePoly) -> bool:
 # Verification and the top-level pipeline
 # ---------------------------------------------------------------------------
 
-def verify_decomposition(L: OrePoly, factors) -> VerificationFlags:
+def verify_decomposition(L: OrePoly, factors, *, witnesses: dict | None = None,
+                         data: PCurvData | None = None) -> VerificationFlags:
     """Exact re-check of a claimed decomposition: LCLM, order sum,
-    right-divisibility, and per-factor indecomposability."""
+    right-divisibility, and per-factor indecomposability.
+
+    ``witnesses`` and ``data`` (the p-curvature record of L) are handed to
+    is_indecomposable, ``data`` only for a factor equal to monic L."""
     factors = list(factors)
     if not factors:
         ok = L.order == 0
         return VerificationFlags(ok, ok, (), ())
-    lclm_ok = lclm(factors) == L.monic()
+    if witnesses is None:
+        witnesses = {}
+    l_mon = L.monic()
+    lclm_ok = lclm(factors) == l_mon
     order_sum_ok = sum(f.order for f in factors) == L.order
     divides_ok = tuple(not ore_rem(L, f) for f in factors)
-    indecomposable_ok = tuple(is_indecomposable(f) for f in factors)
+    indecomposable_ok = tuple(
+        is_indecomposable(f, witnesses=witnesses,
+                          data=data if f.monic() == l_mon else None)
+        for f in factors
+    )
     return VerificationFlags(lclm_ok, order_sum_ok, divides_ok, indecomposable_ok)
 
 
@@ -443,12 +482,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
     data = pcurv_data(l_mon)
     chain = list(data.invariant_roots)
     m = len(chain)
-    list_factor = factor_monic_in_y(chain[-1])
-    for n_star, _ in list_factor:
-        if not is_separable_irreducible(n_star):
-            raise InseparableFactor(
-                "inseparable irreducible factor in chi: %s" % ypoly_str(n_star)
-            )
+    list_factor = separable_factors(chain[-1])
 
     collected: list[OrePoly] = []
     labels: list[FactorLabel] = []
@@ -480,9 +514,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
                     raise VerificationFailed("central stripping left a remainder")
                 new_chain.append(quo)
             chain = new_chain
-            verdict = central_operator_reducible(n_star)
-            witnesses[n_star] = verdict
-            if not verdict.reducible:
+            if not _verdict(n_star, witnesses).reducible:
                 collected.append(central.monic())
                 labels.append(FactorLabel(n_star, p * nu, 0))
             else:
@@ -519,7 +551,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
 
     flags = None
     if verify:
-        flags = verify_decomposition(l_mon, collected)
+        flags = verify_decomposition(l_mon, collected, witnesses=witnesses, data=data)
         if not flags.all_ok:
             raise VerificationFailed(
                 "decomposition re-check failed: %r" % (flags,)

@@ -45,6 +45,23 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def binary_power(x, e: int, one):
+    """x^e for e >= 0 by left-to-right square and multiply: each bit of e
+    after the leading one costs a squaring, and each set bit one product
+    x * result (x on the left: an Ore product costs in proportion to its left
+    factor's order).  ``one`` is only returned for e = 0, never multiplied."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = x * result
+    return result
+
+
 # ---------------------------------------------------------------------------
 # GF(p)[x] on plain int lists (internal helpers, used for modulus handling)
 # ---------------------------------------------------------------------------
@@ -261,14 +278,7 @@ class FqElem:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, self.field.one)
 
     def frobenius(self):
         """a -> a^p."""
@@ -568,14 +578,7 @@ class Poly:
         return Poly(self.field, [a * c for a in self.coeffs])
 
     def __pow__(self, e):
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, Poly.one(self.field))
 
     def divmod(self, other):
         if not other:
@@ -972,14 +975,7 @@ class RatFunc:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e, self.field.one)
 
     def derivative(self) -> "RatFunc":
         """d/dt by the quotient rule, fully reduced."""

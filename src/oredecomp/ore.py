@@ -21,7 +21,7 @@ from .errors import (
     NotDivisible,
     ZeroOperator,
 )
-from .fieldkit import Poly, RatFuncField
+from .fieldkit import Poly, RatFuncField, binary_power
 from .linalg import DependencyFinder
 
 
@@ -279,14 +279,7 @@ def shift_partial(A: OrePoly, g) -> OrePoly:
 
 def ore_pow(A: OrePoly, k: int) -> OrePoly:
     """The k-th power, by square and multiply."""
-    result = OrePoly.one(A.field)
-    base = A
-    while k:
-        if k & 1:
-            result = ore_mul(result, base)
-        base = ore_mul(base, base)
-        k >>= 1
-    return result
+    return binary_power(A, k, OrePoly.one(A.field))
 
 
 def apply_to(A: OrePoly, f):

@@ -203,14 +203,13 @@ def pcurv_data(L: OrePoly) -> PCurvData:
     )
 
 
-def check_separable_factors(L: OrePoly):
-    """Factor the p-th root of chi over GF(q)(t) and verify that every
-    irreducible factor is separable.  Returns the factor list
-    [(N_*, multiplicity)]; raises InseparableFactor otherwise."""
+def separable_factors(root: Poly):
+    """Factor a monic polynomial over GF(q)(t) (chi's p-th root, or an entry
+    of the root chain) and verify that every irreducible factor is
+    separable.  Returns [(N_*, multiplicity)]; raises InseparableFactor
+    otherwise."""
     from .yfactor import factor_monic_in_y, is_separable_irreducible
 
-    chi = pcurv_charpoly(L)
-    root = invariants_pth_root(chi)
     factors = factor_monic_in_y(root)
     for n_star, _ in factors:
         if not is_separable_irreducible(n_star):
@@ -218,6 +217,11 @@ def check_separable_factors(L: OrePoly):
                 "inseparable irreducible factor in chi: %s" % ypoly_str(n_star)
             )
     return factors
+
+
+def check_separable_factors(L: OrePoly):
+    """separable_factors of the p-th root of chi(psi_p^L)."""
+    return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
 
 
 def operators_equivalent(L1: OrePoly, L2: OrePoly) -> bool:

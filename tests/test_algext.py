@@ -126,3 +126,22 @@ def test_min_poly_of_pth_power_of_generator():
         M = Matrix(R, list(zip(*cols)))
         expected = ypoly_from_constants(ypoly_pth_power(n_star))
         assert char_poly(M) == expected
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_pth_power_is_the_p_fold_product(p, n, deg):
+    # Y^deg + tY + t is Eisenstein at t, and separable; over GF(q) with n >= 2
+    # the Frobenius moves the constants, so c^p is not c(t^p)
+    R = RatFuncField(fq_make(p, n))
+    t = R.t
+    E = make_extension(Poly(R, [t, t] + [R.zero] * (deg - 2) + [R.one])
+                       if deg > 1 else ypoly(R, t, 1))
+    assert E._gen_pth_powers is None  # built on first use, not at construction
+    rng = random.Random(100 * p + 10 * n + deg)
+    g = R.from_base(R.base.gen())
+    for u in [E.gen, E.from_ratfunc(g), E.zero] + [E.random(rng) for _ in range(4)]:
+        product = E.one
+        for _ in range(p):
+            product = product * u
+        assert ext_pth_power(u) == product

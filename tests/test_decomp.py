@@ -531,3 +531,90 @@ def test_lclm_decompose_cyclic_matches_first_decomposition(p, n):
         assert len(report.invariants) == 1 and report.iso_witness is None
         expected = {li for li, _, _ in first_decomposition(L)}
         assert set(report.factors) == expected and len(expected) == 2
+
+
+# -- shared verdicts and the multiplicity criterion -------------------------------
+
+def _count_asd(monkeypatch):
+    import oredecomp.decomp as decomp_mod
+
+    seen = []
+
+    def counting(n_star):
+        seen.append(n_star)
+        return central_operator_reducible(n_star)
+
+    monkeypatch.setattr(decomp_mod, "central_operator_reducible", counting)
+    return seen
+
+
+def test_lclm_decompose_solves_each_asd_once(monkeypatch):
+    # D^3 - c(t^3) with c = 1 + 1/(t - 1) over GF(3): the central symbol is
+    # irreducible (no Artin-Schreier solution); stripping solves the ASD and
+    # verification reads the same verdict
+    R, t, D, one = _setup(3)
+    c = (R.one + R.one / (t - R.one)).inflate(3)
+    L = ore_pow(D, 3) - OrePoly.const(R, c)
+    seen = _count_asd(monkeypatch)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.factors == (L.monic(),)
+    assert len(seen) == len(set(seen)) == 1
+
+
+def test_standalone_checks_keep_their_results(monkeypatch):
+    R, t, D, one = _setup(3)
+    n_irr = Poly(R, [-(R.one / t), R.one])
+    central = central_operator(n_irr, 3)
+    seen = _count_asd(monkeypatch)
+    assert is_indecomposable(central)
+    assert not is_indecomposable(ore_pow(D, 3))  # reducible symbol, 3 invariants
+    assert is_indecomposable(OrePoly(R, [R.zero, R.one, t]))  # t D^2 + D
+    flags = verify_decomposition(lclm([central, D]), [central.monic(), D])
+    assert flags.all_ok
+    flags = verify_decomposition(ore_pow(D, 3), [ore_pow(D, 3)])
+    assert flags.lclm_ok and flags.divides_ok == (True,)
+    assert flags.indecomposable_ok == (False,)
+    # every standalone call starts from a fresh verdict store
+    assert seen == [n_irr, Poly.x(R), n_irr, Poly.x(R)]
+
+
+def test_verify_decomposition_reads_the_given_store(monkeypatch):
+    import oredecomp.decomp as decomp_mod
+
+    R, t, D, one = _setup(3)
+    n_irr = Poly(R, [-(R.one / t), R.one])
+    central = central_operator(n_irr, 3)
+    store = {n_irr: central_operator_reducible(n_irr)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verdict is in the store")
+
+    monkeypatch.setattr(decomp_mod, "central_operator_reducible", forbidden)
+    assert verify_decomposition(central, [central], witnesses=store).all_ok
+
+
+@pytest.mark.parametrize("p,n,expr", [
+    # a simple order-2 module over GF(3), chi-root an irreducible quadratic
+    (3, 1, "D^2 + (t)/(t+2)*D + t^2+t"),
+    # order 3 over GF(9), a single cubic invariant
+    (3, 2, "D^3 + ((g+1)*t+1)/(t+1)*D^2 + (2*t+(g+1))*D + (g)/(t+(g+1))"),
+    # order 2 over GF(4), chi-root an irreducible quadratic
+    (2, 2, "D^2 + (t+1)/(t)*D + (g*t+(g+1))/(t+(g+1))"),
+])
+def test_multiplicity_prime_to_p_skips_the_asd(monkeypatch, p, n, expr):
+    # chi's root is N_*^1: an irreducible central symbol would need a
+    # multiplicity divisible by p, so the symbol is reducible and one
+    # invariant factor proves indecomposability without the ASD solve
+    import oredecomp.decomp as decomp_mod
+    from oredecomp.cli import parse_operator
+
+    L = parse_operator(expr, fq_make(p, n))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("multiplicity 1 decides the symbol")
+
+    monkeypatch.setattr(decomp_mod, "central_operator_reducible", forbidden)
+    assert is_indecomposable(L)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.factors == (L.monic(),)
+    assert len(report.invariants) == 1
