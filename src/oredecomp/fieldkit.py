@@ -20,6 +20,8 @@ and every randomized routine takes its RNG state as an explicit argument.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from .errors import (
     DegreeMismatch,
@@ -63,7 +65,8 @@ def binary_power(x, e: int, one):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] on plain int lists (internal helpers, used for modulus handling)
+# GF(p)[x] on plain int lists (internal helpers: modulus handling and the
+# GF(p) fast paths of Poly)
 # ---------------------------------------------------------------------------
 
 def _gfp_trim(c):
@@ -95,12 +98,68 @@ def _gfp_sub(a, b, p):
 def _gfp_mul(a, b, p):
     if not a or not b:
         return []
+    if (len(a) - 1) * (len(b) - 1) < _KRONECKER_CUTOFF:
+        return _gfp_trim(_gfp_mul_schoolbook(a, b, p))
+    return _gfp_trim(_gfp_mul_kronecker(a, b, p))
+
+
+# Schoolbook while deg a * deg b is below this, Kronecker substitution from
+# it on.  Measured break-even of the two kernels on GF(3), GF(17) and
+# GF(101) operands (CPython 3.11, x86-64): degrees 4 x 4, 2 x 8 and 1 x 16;
+# a constant operand is a scaling, where schoolbook wins up to degree ~200.
+# At 2 x 300 coefficients Kronecker is about twice as fast, at 40 x 40 ten
+# times.
+_KRONECKER_CUTOFF = 16
+
+# array typecode per slot width in bytes (1, 2, 4, 8)
+_SLOT_TYPECODES = {array(tc).itemsize: tc for tc in "QLIHB"}
+
+
+def _gfp_mul_schoolbook(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _gfp_trim(out)
+    return out
+
+
+def _gfp_mul_kronecker(a, b, p):
+    """The product of two nonempty GF(p) coefficient lists by Kronecker
+    substitution: each list is packed into one integer with a fixed-width
+    slot per coefficient (wide enough for any unreduced product coefficient,
+    at most min(len) * (p-1)^2), the integers are multiplied once, and the
+    slots are read back and reduced mod p.  Falls back to schoolbook when a
+    slot would need more than 8 bytes."""
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    width = 1
+    while 8 * width < bits:
+        width *= 2
+    if width > 8:
+        return _gfp_mul_schoolbook(a, b, p)
+    code = _SLOT_TYPECODES[width]
+    order = sys.byteorder
+    x = int.from_bytes(array(code, a).tobytes(), order)
+    y = int.from_bytes(array(code, b).tobytes(), order)
+    n = len(a) + len(b) - 1
+    return [v % p for v in array(code, (x * y).to_bytes(n * width, order))]
+
+
+def _gfq_mul_kronecker(field, a, b):
+    """The product of two nonempty coefficient sequences over GF(p^n) by
+    the same substitution: coefficient i of a fills slots i*(2n-1) ..
+    i*(2n-1) + n-1 with its coordinates, so every product of coordinate
+    polynomials lands in its own block of 2n - 1 slots, which is then
+    reduced modulo the defining polynomial."""
+    n = field.n
+    m = 2 * n - 1
+    pad = (0,) * (n - 1)
+    fa = [x for c in a for x in c.coords + pad]
+    fb = [x for c in b for x in c.coords + pad]
+    slots = _gfp_mul_kronecker(fa, fb, field.p)
+    reduce = field._reduce
+    return [reduce(slots[k:k + m])
+            for k in range(0, (len(a) + len(b) - 1) * m, m)]
 
 
 def _gfp_divmod(a, b, p):
@@ -238,21 +297,13 @@ class FqElem:
         n = f.n
         if n == 1:
             return f._make(((self.coords[0] * other.coords[0]) % f.p,))
-        p = f.p
         a, b = self.coords, other.coords
         conv = [0] * (2 * n - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] += x * y
-        out = conv[:n]
-        for k, row in enumerate(f._red_rows):
-            c = conv[n + k]
-            if c:
-                for i, rv in enumerate(row):
-                    if rv:
-                        out[i] += c * rv
-        return f._make(tuple(v % p for v in out))
+        return f._reduce(conv)
 
     def inv(self):
         f = self.field
@@ -281,7 +332,9 @@ class FqElem:
         return binary_power(self, e, self.field.one)
 
     def frobenius(self):
-        """a -> a^p."""
+        """a -> a^p (the identity on GF(p))."""
+        if self.field.n == 1:
+            return self
         return self ** self.field.p
 
     def frobenius_inverse(self):
@@ -345,6 +398,20 @@ class FqField:
         if self._cache is not None:
             return self._cache[coords[0]]
         return FqElem(self, coords)
+
+    def _reduce(self, conv):
+        """The element with coordinate polynomial conv (2n - 1 unreduced
+        integers) modulo the defining polynomial."""
+        n = self.n
+        out = conv[:n]
+        for k, row in enumerate(self._red_rows):
+            c = conv[n + k]
+            if c:
+                for i, rv in enumerate(row):
+                    if rv:
+                        out[i] += c * rv
+        p = self.p
+        return self._make(tuple(v % p for v in out))
 
     def elem(self, coords) -> FqElem:
         coords = tuple(int(c) % self.p for c in coords)
@@ -529,6 +596,11 @@ class Poly:
         return None
 
     def __add__(self, other):
+        ia = self._ints()
+        if ia is not None:
+            mk = self.field._make
+            return Poly(self.field, [mk((v,)) for v in
+                                     _gfp_add(ia, other._ints(), self.field.p)])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -538,6 +610,11 @@ class Poly:
         return Poly(self.field, out)
 
     def __sub__(self, other):
+        ia = self._ints()
+        if ia is not None:
+            mk = self.field._make
+            return Poly(self.field, [mk((v,)) for v in
+                                     _gfp_sub(ia, other._ints(), self.field.p)])
         n = max(len(self.coeffs), len(other.coeffs))
         z = self.field.zero
         out = [z] * n
@@ -555,15 +632,13 @@ class Poly:
             return Poly(self.field, ())
         ia = self._ints()
         if ia is not None:
-            ib = other._ints()
-            p = self.field.p
-            out = [0] * (len(ia) + len(ib) - 1)
-            for i, x in enumerate(ia):
-                if x:
-                    for j, y in enumerate(ib):
-                        out[i + j] = (out[i + j] + x * y) % p
             mk = self.field._make
-            return Poly(self.field, [mk((v,)) for v in out])
+            return Poly(self.field, [mk((v,)) for v in
+                                     _gfp_mul(ia, other._ints(), self.field.p)])
+        if (isinstance(self.field, FqField) and (len(self.coeffs) - 1)
+                * (len(other.coeffs) - 1) >= _KRONECKER_CUTOFF):
+            return Poly(self.field, _gfq_mul_kronecker(
+                self.field, self.coeffs, other.coeffs))
         z = self.field.zero
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):

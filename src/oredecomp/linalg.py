@@ -68,10 +68,10 @@ class Matrix:
         if isinstance(other, Matrix):
             cols = list(zip(*other.rows))
             return Matrix(self.field, [
-                [_dot(r, c, self.field) for c in cols] for r in self.rows
+                [_dot(r, c, self.field.zero) for c in cols] for r in self.rows
             ])
         # matrix * vector
-        return tuple(_dot(r, other, self.field) for r in self.rows)
+        return tuple(_dot(r, other, self.field.zero) for r in self.rows)
 
     def scale(self, c):
         return Matrix(self.field, [[a * c for a in r] for r in self.rows])
@@ -89,8 +89,8 @@ class Matrix:
         return "Matrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
 
 
-def _dot(r, c, field):
-    acc = field.zero
+def _dot(r, c, zero):
+    acc = zero
     for a, b in zip(r, c):
         if a and b:
             acc = acc + a * b
@@ -208,27 +208,28 @@ class DependencyFinder:
 # Characteristic polynomial (Berkowitz, division-free)
 # ---------------------------------------------------------------------------
 
-def _berkowitz(rows, field):
+def _berkowitz(rows, zero, one):
     """Coefficient vector of det(Y*I - A), leading term first.
 
-    Division-free: only ring operations on the entries are used."""
+    Division-free: only ring operations on the entries are used, so the
+    entries may come from any commutative ring with the given zero and one."""
     n = len(rows)
     if n == 0:
-        return [field.one]
-    C = [field.one, -rows[0][0]]
+        return [one]
+    C = [one, -rows[0][0]]
     for i in range(1, n):
         R = rows[i][:i]
         S = [rows[k][i] for k in range(i)]
         # first column of the Toeplitz factor:
         # [1, -a_ii, -(R.S), -(R.M.S), -(R.M^2.S), ...]
-        q = [field.one, -rows[i][i]]
+        q = [one, -rows[i][i]]
         v = S
         for _ in range(i):
-            q.append(-_dot(R, v, field))
-            v = [_dot(rows[k][:i], v, field) for k in range(i)]
+            q.append(-_dot(R, v, zero))
+            v = [_dot(rows[k][:i], v, zero) for k in range(i)]
         Cn = []
         for j in range(i + 2):
-            acc = field.zero
+            acc = zero
             for k in range(len(C)):
                 if 0 <= j - k < len(q):
                     acc = acc + q[j - k] * C[k]
@@ -240,9 +241,9 @@ def _berkowitz(rows, field):
 def char_poly(M: Matrix) -> Poly:
     """The monic characteristic polynomial det(Y*I - A) of a square matrix.
 
-    Over a rational function field the common denominator is factored out
-    first so the Berkowitz recursion runs on polynomial entries, keeping
-    denominators fully predictable.
+    Over a rational function field the common denominator d is factored out
+    first so the Berkowitz recursion runs on the polynomial entries of d*A,
+    in GF(q)[t] arithmetic, with one reduction per output coefficient.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial of a non-square matrix")
@@ -251,25 +252,22 @@ def char_poly(M: Matrix) -> Poly:
     if n == 0:
         return Poly.one(field)
     if isinstance(field, RatFuncField):
-        den = Poly.one(field.base)
+        base = field.base
+        den = Poly.one(base)
         for r in M.rows:
             for e in r:
                 den = poly_lcm(den, e.den)
-        if den.degree > 0:
-            d = field.from_poly(den)
-            rows = [[e * d for e in r] for r in M.rows]
-            C = _berkowitz(rows, field)
-            # det(Y I - A) = d^-n det((d Y) I - d A): the Y^k coefficient of
-            # the polynomial-entry determinant gets divided by d^(n-k)
-            dpow = [Poly.one(field.base)]
-            for _ in range(n):
-                dpow.append(dpow[-1] * den)
-            coeffs = []
-            for k in range(n + 1):
-                c = C[n - k]  # coefficient of Y^k in det(Z I - dA), Z = dY
-                coeffs.append(RatFunc.make(field, c.num, dpow[n - k] * c.den))
-            return Poly(field, coeffs)
-    C = _berkowitz([list(r) for r in M.rows], field)
+        rows = [[e.num * (den // e.den) for e in r] for r in M.rows]
+        C = _berkowitz(rows, Poly.zero(base), Poly.one(base))
+        # det(Y I - A) = d^-n det((d Y) I - d A): the Y^k coefficient of
+        # the polynomial-entry determinant gets divided by d^(n-k)
+        dpow = [Poly.one(base)]
+        for _ in range(n):
+            dpow.append(dpow[-1] * den)
+        # C[n - k] is the coefficient of Z^k in det(Z I - dA), Z = dY
+        return Poly(field, [RatFunc.make(field, C[n - k], dpow[n - k])
+                            for k in range(n + 1)])
+    C = _berkowitz([list(r) for r in M.rows], field.zero, field.one)
     return Poly(field, list(reversed(C)))
 
 

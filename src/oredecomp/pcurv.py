@@ -3,15 +3,18 @@
 For a monic operator L of order r over GF(q)(t), the p-curvature is the
 GF(q)(t)-linear endomorphism of the quotient module D_L given by left
 multiplication by D^p.  Its matrix in the power basis 1, D, ..., D^(r-1) is
-assembled from the remainders of D^(p+j) modulo L by a naive O(p * r^2)
-recurrence.
+assembled from the remainders of D^(p+j) modulo L by a fraction-free
+recurrence: p + r - 1 steps of O(r) polynomial products over one common
+denominator, with a single reduction per output entry (Bostan-Schost,
+ISSAC 2009, for the fraction-free idea).
 
 The characteristic polynomial and the invariant factors of this map have
 coefficients in the constant subfield GF(q)(t^p) (the individual matrix
 entries generally do not; only a suitable basis makes the whole matrix
 constant).  Both are computed over GF(q)(t) and then re-expressed over
 GF(q)(s) with s = t^p; a failure of that re-expression indicates a bug and
-raises ConstantFieldViolation.
+raises ConstantFieldViolation.  A squarefree characteristic polynomial is
+the only invariant factor; the Smith form runs only when it is not.
 
 The p-th roots Q_i of the invariant factors (Q_i^p(Y) = P_i(Y^p)) live over
 GF(q)(t) and drive the decomposition pipeline.
@@ -22,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstantFieldViolation, InseparableFactor, ZeroOrder
-from .fieldkit import Poly, RatFunc
+from .fieldkit import Poly, RatFunc, poly_gcd, poly_lcm
 from .linalg import Matrix, char_poly, invariant_factors
-from .ore import OrePoly, _partial_times
+from .ore import OrePoly
 from .serialize import ypoly_str
 
 
@@ -99,23 +102,48 @@ def central_operator_from_constants(P: Poly) -> OrePoly:
 
 def pcurvature_matrix(L: OrePoly) -> Matrix:
     """The matrix of multiplication by D^p on D_L in the power basis:
-    column j holds the coordinates of D^(p+j) mod L."""
+    column j holds the coordinates of D^(p+j) mod L.
+
+    Fraction-free: with den the lcm of the denominators of the coefficients
+    a_j of monic L and A_j = den * a_j, the coordinates of D^k mod L are
+    carried as polynomials v_j / den^k.  From D * sum c_j D^j =
+    sum (c_j' + c_(j-1)) D^j + c_(r-1) D^r and D^r = -sum a_j D^j mod L,
+
+        v_j <- den * (v_j' + v_(j-1)) - k * den' * v_j - v_(r-1) * A_j,
+
+    and each output entry is reduced once, as v_j / den^(p+i)."""
     if L.order < 1:
         raise ZeroOrder("p-curvature needs an operator of positive order")
     field = L.field
-    p = field.base.p
+    base = field.base
+    p = base.p
     r = L.order
-    Lm = L.monic()
-    shifts = None
-    cur = OrePoly.one(field)
+    a = L.monic().coeffs[:r]
+    den = Poly.one(base)
+    for c in a:
+        den = poly_lcm(den, c.den)
+    big_a = [c.num * (den // c.den) for c in a]
+    dden = den.derivative()
+    zero = Poly.zero(base)
+    v = [Poly.one(base)] + [zero] * (r - 1)
     cols = []
-    for k in range(1, p + r):
-        cur = _partial_times(cur)
-        if cur.order == r:
-            cur = cur - Lm.scale(cur.lc)
-        if k >= p:
-            cols.append([cur.coeff(i) for i in range(r)])
-    return Matrix(field, list(zip(*cols)))
+    for k in range(p + r - 1):
+        kd = dden.scale(base.from_int(k))
+        top = v[r - 1]
+        v = [
+            den * (v[j].derivative() + (v[j - 1] if j else zero))
+            - kd * v[j] - top * big_a[j]
+            for j in range(r)
+        ]
+        if k + 1 >= p:
+            cols.append(v)
+    # den^p is den with Frobenius-mapped coefficients, inflated by t -> t^p
+    den_k = den.map_coeffs(lambda c: c.frobenius()).inflate(p)
+    out = []
+    for col in cols:
+        out.append([RatFunc.make(field, vj, den_k) for vj in col])
+        den_k = den_k * den
+    return Matrix(field, list(zip(*out)))
 
 
 def matrix_to_constants(M: Matrix) -> Matrix | None:
@@ -135,14 +163,35 @@ def matrix_to_constants(M: Matrix) -> Matrix | None:
     return Matrix(M.field, rows)
 
 
-def pcurv_charpoly(L: OrePoly) -> Poly:
-    """chi(psi_p^L) as a monic polynomial over GF(q)(s)."""
-    cp = char_poly(pcurvature_matrix(L))
+def _charpoly_over_constants(M: Matrix) -> Poly:
     try:
-        return ypoly_to_constants(cp)
+        return ypoly_to_constants(char_poly(M))
     except ConstantFieldViolation:
         raise ConstantFieldViolation(
             "characteristic polynomial of the p-curvature escaped GF(q)(t^p)"
+        )
+
+
+def pcurv_charpoly(L: OrePoly) -> Poly:
+    """chi(psi_p^L) as a monic polynomial over GF(q)(s)."""
+    return _charpoly_over_constants(pcurvature_matrix(L))
+
+
+def _invariants_over_constants(M: Matrix, chi: Poly) -> list[Poly]:
+    """The nontrivial invariant factors of M, over GF(q)(s), given its
+    characteristic polynomial chi over GF(q)(s).
+
+    A squarefree chi is its own minimal polynomial (the minimal polynomial
+    contains every irreducible factor of chi), hence the only invariant
+    factor; only an inseparable chi, e.g. one with chi' = 0, needs the Smith
+    form."""
+    if poly_gcd(chi, chi.derivative()).degree == 0:
+        return [chi]
+    try:
+        return [ypoly_to_constants(P) for P in invariant_factors(M)]
+    except ConstantFieldViolation:
+        raise ConstantFieldViolation(
+            "invariant factors of the p-curvature escaped GF(q)(t^p)"
         )
 
 
@@ -150,13 +199,8 @@ def frobenius_invariants(L: OrePoly) -> list[Poly]:
     """The nontrivial invariant factors P_1 | ... | P_m of the p-curvature,
     over GF(q)(s); the invariant factors are insensitive to the base-field
     extension from GF(q)(t^p) to GF(q)(t)."""
-    invs = invariant_factors(pcurvature_matrix(L))
-    try:
-        return [ypoly_to_constants(P) for P in invs]
-    except ConstantFieldViolation:
-        raise ConstantFieldViolation(
-            "invariant factors of the p-curvature escaped GF(q)(t^p)"
-        )
+    M = pcurvature_matrix(L)
+    return _invariants_over_constants(M, _charpoly_over_constants(M))
 
 
 @dataclass(frozen=True)
@@ -181,8 +225,8 @@ class PCurvData:
 def pcurv_data(L: OrePoly) -> PCurvData:
     """Assemble and cross-check the full p-curvature record of L."""
     M = pcurvature_matrix(L)
-    cp = ypoly_to_constants(char_poly(M))
-    invs = [ypoly_to_constants(P) for P in invariant_factors(M)]
+    cp = _charpoly_over_constants(M)
+    invs = _invariants_over_constants(M, cp)
     prod = Poly.one(L.field)
     for P in invs:
         prod = prod * P

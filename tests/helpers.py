@@ -88,3 +88,25 @@ def all_small_fields(limit=27):
             out.append(fq_make(p, n))
             n += 1
     return out
+
+
+def pcurvature_matrix_by_steps(L):
+    """The p-curvature matrix by applying D one step at a time and reducing
+    modulo monic L in GF(q)(t) arithmetic (independent oracle for the
+    fraction-free recurrence): column j holds D^(p+j) mod L."""
+    from oredecomp.linalg import Matrix
+    from oredecomp.ore import _partial_times
+
+    field = L.field
+    p = field.base.p
+    r = L.order
+    Lm = L.monic()
+    cur = OrePoly.one(field)
+    cols = []
+    for k in range(1, p + r):
+        cur = _partial_times(cur)
+        if cur.order == r:
+            cur = cur - Lm.scale(cur.lc)
+        if k >= p:
+            cols.append([cur.coeff(i) for i in range(r)])
+    return Matrix(field, list(zip(*cols)))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oredecomp import fieldkit
 from oredecomp.errors import DivisionByZero, NotPrime, ReducibleModulus
 from oredecomp.fieldkit import (
     Poly,
@@ -218,3 +219,70 @@ def test_poly_factor_rejects_zero():
     F3 = fq_make(3)
     with pytest.raises(ZeroPolynomial):
         poly_factor_fq(Poly.zero(F3))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (17, 1), (2, 2), (3, 2)])
+def test_frobenius_is_the_pth_power(p, n):
+    F = fq_make(p, n)
+    for a in F.all_elements():
+        assert a.frobenius() == a ** p
+
+
+def _kronecker_length_pairs(rng):
+    cut = fieldkit._KRONECKER_CUTOFF
+    pairs = [(1, 1), (1, 300), (300, 1), (2, 300), (300, 300), (150, 7)]
+    # degree products just below, at and just above the cutoff
+    for da in (1, 2, 3, 4):
+        for prod in (cut - 1, cut, cut + 1):
+            if prod % da == 0:
+                pairs.append((da + 1, prod // da + 1))
+    pairs.extend((rng.randrange(1, 301), rng.randrange(1, 301)) for _ in range(12))
+    return pairs
+
+
+def _rand_coeffs(rng, p, length, style):
+    if style == "max":
+        out = [p - 1] * length  # largest unreduced slot values
+    else:
+        out = [rng.randrange(p) for _ in range(length)]
+        if style == "zero runs" and length > 4:
+            i = rng.randrange(length - 2)
+            j = rng.randrange(i + 1, length)
+            out[i:j] = [0] * (j - i)
+    out[-1] = out[-1] or 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 101])
+def test_kronecker_product_matches_schoolbook(p):
+    rng = random.Random(p)
+    for la, lb in _kronecker_length_pairs(rng):
+        for style in ("random", "zero runs", "max"):
+            a = _rand_coeffs(rng, p, la, style)
+            b = _rand_coeffs(rng, p, lb, style)
+            expected = fieldkit._gfp_mul_schoolbook(a, b, p)
+            assert fieldkit._gfp_mul_kronecker(a, b, p) == expected
+            assert fieldkit._gfp_mul(a, b, p) == expected
+
+
+def test_kronecker_falls_back_beyond_eight_byte_slots():
+    p = 2 ** 31 - 1
+    rng = random.Random(31)
+    a = [rng.randrange(p) for _ in range(40)] + [p - 1]
+    b = [p - 1] * 40
+    assert fieldkit._gfp_mul_kronecker(a, b, p) == fieldkit._gfp_mul_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_kronecker_product_over_extension_fields(p, n):
+    F = fq_make(p, n)
+    rng = random.Random(p * n)
+    for la, lb in ((5, 5), (2, 40), (30, 17), (60, 60)):
+        a = rand_poly(F, rng, la - 1)
+        b = rand_poly(F, rng, lb - 1)
+        # the generic schoolbook product, coefficient by coefficient
+        out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                out[i + j] = out[i + j] + x * y
+        assert a * b == Poly(F, out)

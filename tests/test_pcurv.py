@@ -3,7 +3,8 @@ import random
 import pytest
 
 from oredecomp.errors import InseparableFactor, ZeroOrder
-from oredecomp.fieldkit import Poly, RatFuncField, fq_make
+from oredecomp.fieldkit import Poly, RatFuncField, fq_make, poly_gcd
+from oredecomp.linalg import invariant_factors
 from oredecomp.ore import OrePoly, ore_mul, ore_pow
 from oredecomp.pcurv import (
     central_operator,
@@ -15,10 +16,12 @@ from oredecomp.pcurv import (
     pcurv_charpoly,
     pcurv_data,
     pcurvature_matrix,
+    ratfunc_to_constants,
     ypoly_pth_power,
+    ypoly_to_constants,
 )
 
-from helpers import rand_monic_operator, rand_ratfunc, ypoly
+from helpers import pcurvature_matrix_by_steps, rand_monic_operator, rand_ratfunc, ypoly
 
 
 def _setup(p=3, n=1):
@@ -147,3 +150,72 @@ def test_equivalence_requires_separability():
     L = central_operator(ypoly(R, -t, 0, 0, 1), 3)
     with pytest.raises(InseparableFactor):
         operators_equivalent(L, L)
+
+
+def _poles_operators(R, order):
+    """Monic operators with a pole at t = 0, repeated poles and a pole
+    shared between coefficients."""
+    t, one = R.t, R.one
+    c = [one / (t * t), (t + one) / ((t - one) ** 3), t / (t + R.from_int(2)),
+         one / t, (t * t + one) / (t * (t - one) ** 2)]
+    shifted = c[1:] + c[:1]
+    return [OrePoly(R, c[:order] + [one]), OrePoly(R, shifted[:order] + [one])]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (17, 1)])
+def test_matrix_matches_step_by_step_oracle(p, n):
+    R = RatFuncField(fq_make(p, n))
+    rng = random.Random(100 * p + n)
+    for order in (1, 2, 3, 4):
+        ops = _poles_operators(R, order)
+        ops += [rand_monic_operator(R, rng, order, 1, 1) for _ in range(2)]
+        for L in ops:
+            assert pcurvature_matrix(L) == pcurvature_matrix_by_steps(L)
+
+
+def _smith_invariants(L):
+    M = pcurvature_matrix(L)
+    return [ypoly_to_constants(P) for P in invariant_factors(M)]
+
+
+def test_separable_chi_skips_the_smith_form(monkeypatch):
+    rng = random.Random(41)
+    cases = []
+    for p, n in ((5, 1), (7, 1), (3, 2), (17, 1)):
+        R = RatFuncField(fq_make(p, n))
+        for order in (1, 2, 3):
+            L = rand_monic_operator(R, rng, order, 1, 1)
+            chi = pcurv_charpoly(L)
+            if poly_gcd(chi, chi.derivative()).degree == 0:
+                cases.append((L, _smith_invariants(L)))
+    assert len(cases) >= 10
+
+    def no_smith(M):
+        raise AssertionError("Smith form computed for a separable chi")
+
+    monkeypatch.setattr("oredecomp.pcurv.invariant_factors", no_smith)
+    for L, expected in cases:
+        assert frobenius_invariants(L) == expected
+        data = pcurv_data(L)
+        assert data.invariants == expected == [data.charpoly]
+
+
+def test_inseparable_chi_reaches_the_smith_form(monkeypatch):
+    R, t, D, one = _setup()
+    x = Poly.x(R)
+    c = (t ** 3 + R.one) / (t ** 3 + R.from_int(2))
+    central = ore_pow(D, 3) - OrePoly.const(R, c)
+    root = x - Poly.const(R, ratfunc_to_constants(c))
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return invariant_factors(M)
+
+    monkeypatch.setattr("oredecomp.pcurv.invariant_factors", counting)
+    for L, expected in ((ore_pow(D, 3), [x, x, x]), (ore_pow(D, 2), [x, x]),
+                        (central, [root, root, root])):
+        calls.clear()
+        assert frobenius_invariants(L) == expected
+        assert pcurv_data(L).invariants == expected
+        assert len(calls) == 2
