@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algext import ExtElem, ExtField, make_extension
 from .errors import Inseparable
-from .fieldkit import Poly, fq_make, poly_factor_fq, poly_lcm
+from .fieldkit import Poly, common_denominator, fq_make, poly_factor_fq
 from .linalg import Matrix, solve
 from .ore import OrePoly, ore_divrem_right
 
@@ -86,50 +86,21 @@ def asd_pole_bound(ext: ExtField) -> PoleBound:
 
     Denominator support: the irreducible factors of the coordinate
     denominators of a, of den(a'), and of the cleared resultant
-    res_Y(N, dN/dY); initial multiplicity is the largest one among a's
-    coordinate denominators (at least 1); the numerator cap is
+    res_Y(N, dN/dY), each with initial multiplicity 1; the numerator cap is
     (deg_t of the cleared N + deg_Y N) * p.
     """
-    ratfield = ext.ratfield
-    base = ratfield.base
-    support: dict[Poly, int] = {}
-
-    def add_support(den: Poly):
-        for irr, _ in poly_factor_fq(den):
-            if irr.degree > 0:
-                support.setdefault(irr, 1)
-
-    mult = 1
-    for c in ext.gen.coords:
-        if c and c.den.degree > 0:
-            add_support(c.den)
-            for irr, m in poly_factor_fq(c.den):
-                if irr.degree > 0:
-                    mult = max(mult, m)
-    for c in ext.gen_prime.coords:
-        if c and c.den.degree > 0:
-            add_support(c.den)
     disc = _resultant_y(ext.modulus, ext.modulus.derivative())
-    if disc:
-        if disc.den.degree > 0:
-            add_support(disc.den)
-        if disc.num.degree > 0:
-            add_support(disc.num)
+    dens = [c.den for c in ext.gen.coords + ext.gen_prime.coords]
+    support = {irr for f in dens + [disc.den, disc.num] if f.degree > 0
+               for irr, _ in poly_factor_fq(f)}
     # cleared t-degree of N
-    den = Poly.one(base)
-    for c in ext.modulus.coeffs:
-        if c:
-            den = poly_lcm(den, c.den)
-    deg_t = den.degree
-    for c in ext.modulus.coeffs:
-        if c:
-            deg_t = max(deg_t, (c.num * den.divmod(c.den)[0]).degree)
-    cap = (deg_t + ext.deg) * base.p
+    den, nums = common_denominator(ext.modulus.coeffs)
+    deg_t = max(c.degree for c in (den, *nums))
     places = sorted(support, key=lambda f: f.sort_key())
     return PoleBound(
         places=tuple(places),
-        multiplicities=tuple(support[pl] for pl in places),
-        num_degree_cap=cap,
+        multiplicities=(1,) * len(places),
+        num_degree_cap=(deg_t + ext.deg) * ext.ratfield.base.p,
     )
 
 
@@ -144,29 +115,14 @@ def _phi(u: ExtElem, p: int) -> ExtElem:
 def _flatten(elems, base):
     """GF(p)-coordinate vectors for a family of extension elements, over a
     common denominator."""
-    ratfield = elems[0].field.ratfield
-    den = Poly.one(base)
-    for e in elems:
-        for c in e.coords:
-            if c:
-                den = poly_lcm(den, c.den)
-    polys = []
-    max_deg = 0
-    for e in elems:
-        cs = []
-        for c in e.coords:
-            if c:
-                pnum = c.num * den.divmod(c.den)[0]
-                max_deg = max(max_deg, pnum.degree)
-            else:
-                pnum = Poly.zero(base)
-            cs.append(pnum)
-        polys.append(cs)
+    _, nums = common_denominator(c for e in elems for c in e.coords)
+    max_deg = max(0, *(pnum.degree for pnum in nums))
+    width = len(elems[0].coords)
     prime = fq_make(base.p, 1)
     vectors = []
-    for cs in polys:
+    for i in range(0, len(nums), width):
         vec = []
-        for pnum in cs:
+        for pnum in nums[i:i + width]:
             for k in range(max_deg + 1):
                 coeff = pnum.coeff(k)
                 for coord in coeff.coords:
@@ -178,9 +134,6 @@ def _flatten(elems, base):
 def asd_solve(ext: ExtField) -> ASDSolution | NoSolution:
     """Solve f^(p-1) + f^p = a^p for f in the extension, by bounded-ansatz
     GF(p)-linear algebra with up to four bound doublings."""
-    ratfield = ext.ratfield
-    base = ratfield.base
-    p = base.p
     if not ext.modulus.derivative():
         raise Inseparable("extension defined by an inseparable polynomial")
     target = ext.gen.pth_power()

@@ -42,7 +42,12 @@ from .errors import (
 )
 from .fieldkit import FqField, Poly, RatFuncField, fq_make
 from .ore import OrePoly, gcrd, lclm, apply_to, operator_degree, ore_pow
-from .pcurv import frobenius_invariants, pcurv_data
+from .pcurv import (
+    checked_invariants,
+    frobenius_invariants,
+    pcurv_data,
+    ypoly_pth_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +392,8 @@ def _cmd_equivalent(args, field):
         raise ExprSyntaxError("equivalent needs exactly two --expr operands", 0)
     L1 = parse_operator(_read_expr(args.expr[0]), field)
     L2 = parse_operator(_read_expr(args.expr[1]), field)
-    inv1 = frobenius_invariants(L1.monic())
-    inv2 = frobenius_invariants(L2.monic())
-    from .pcurv import check_separable_factors
-
-    check_separable_factors(L1.monic())
-    check_separable_factors(L2.monic())
+    inv1 = checked_invariants(L1.monic())
+    inv2 = checked_invariants(L2.monic())
     return {
         "inputs": [operator_str(L1), operator_str(L2)],
         "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
@@ -408,8 +409,6 @@ def _cmd_repr(args, field):
     start = time.perf_counter()
     rep = nice_repr(chain)
     roundtrip = frobenius_invariants(rep.l_star)
-    from .pcurv import ypoly_pth_power
-
     expected = [ypoly_pth_power(q) for q in chain if q.degree > 0]
     elapsed = round((time.perf_counter() - start) * 1000.0, 3)
     doc = {
@@ -469,12 +468,18 @@ def _make_argparser():
 # catches every other domain error.
 _EXIT_CODES = (
     ((ExprSyntaxError, DivisionByOperator, DivisionByZero,
-      NotPrime, ReducibleModulus, DegreeMismatch, ValueError), 2),
+      NotPrime, ReducibleModulus, DegreeMismatch, ValueError, OSError), 2),
     ((InseparableFactor,), 3),
     ((VerificationFailed, ConstantFieldViolation), 4),
     ((RetryExhausted,), 5),
     ((OredecompError,), 6),
 )
+
+
+def _error_exit(exc) -> int:
+    print(json.dumps({"error": str(exc), "class": type(exc).__name__}),
+          file=sys.stderr)
+    return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 def run(argv) -> int:
@@ -487,14 +492,15 @@ def run(argv) -> int:
         field = _build_field(args)
         doc = _COMMANDS[args.command](args, field)
     except (OredecompError, ValueError) as exc:
-        print(json.dumps({"error": str(exc), "class": type(exc).__name__}),
-              file=sys.stderr)
-        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+        return _error_exit(exc)
     text = json.dumps(doc, indent=2)
-    print(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _error_exit(exc)
+    print(text)
     return 0
 
 

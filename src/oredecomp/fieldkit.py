@@ -668,7 +668,7 @@ class Poly:
                 Poly(self.field, [mk((v,)) for v in q]),
                 Poly(self.field, [mk((v,)) for v in r]),
             )
-        inv_lb = other.lc.inv() if hasattr(other.lc, "inv") else self.field.one / other.lc
+        inv_lb = other.lc.inv()
         r = list(self.coeffs)
         db = other.degree
         q = [self.field.zero] * max(len(r) - db, 0)
@@ -696,8 +696,7 @@ class Poly:
         lc = self.lc
         if lc == self.field.one:
             return self
-        inv = lc.inv() if hasattr(lc, "inv") else self.field.one / lc
-        return self.scale(inv)
+        return self.scale(lc.inv())
 
     def derivative(self):
         """Formal derivative with respect to the polynomial variable."""
@@ -793,8 +792,7 @@ def poly_xgcd(a: Poly, b: Poly):
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     if r0:
-        lc = r0.lc
-        inv = lc.inv() if hasattr(lc, "inv") else field.one / lc
+        inv = r0.lc.inv()
         r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
     return r0, s0, t0
 
@@ -804,6 +802,19 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
         return Poly.zero(a.field)
     g = poly_gcd(a, b)
     return ((a * b).divmod(g)[0]).monic()
+
+
+def common_denominator(values):
+    """A nonempty family of rational functions over one common denominator:
+    returns (den, nums) with den the monic lcm of the denominators and
+    nums[i] = values[i].num * (den // values[i].den), so that
+    values[i] = nums[i] / den; a zero value gives a zero numerator."""
+    values = list(values)
+    den = Poly.one(values[0].field.base)
+    for c in values:
+        if c.den.degree > 0:
+            den = poly_lcm(den, c.den)
+    return den, [c.num * (den // c.den) for c in values]
 
 
 def poly_pth_root(f: Poly) -> Poly | None:
@@ -897,49 +908,67 @@ def _factor_squarefree_fq(f: Poly, rng) -> list[Poly]:
     return sorted(out, key=lambda h: h.sort_key())
 
 
+def squarefree_descent(g: Poly, p: int, factor_squarefree, coeff_pth_root):
+    """The monic irreducible factors of a monic polynomial g over a field of
+    characteristic p, as a dict {factor: multiplicity}.
+
+    The factors whose multiplicity is prime to p are those of the separable
+    part g / gcd(g, g'); their multiplicities are counted by trial division,
+    and what is left is descended into.  When g' = 0, g(Y) = inner(Y^p):
+    an irreducible factor h of inner gives its coefficientwise p-th root
+    with p times h's multiplicity, or, when some coefficient of h has no
+    p-th root, the inseparable irreducible h(Y^p).
+
+    ``factor_squarefree(s)`` returns the monic irreducible factors of a
+    monic squarefree s; ``coeff_pth_root(c)`` returns c^(1/p), or None when
+    c is not a p-th power."""
+    out: dict[Poly, int] = {}
+    if g.degree < 1:
+        return out
+    gp = g.derivative()
+    if not gp:
+        inner = squarefree_descent(g.deflate(p), p, factor_squarefree,
+                                   coeff_pth_root)
+        for h, m in inner.items():
+            roots = [coeff_pth_root(c) for c in h.coeffs]
+            if any(r is None for r in roots):
+                key = h.inflate(p)
+            else:
+                key, m = Poly(h.field, roots), m * p
+            out[key] = out.get(key, 0) + m
+        return out
+    d = poly_gcd(g, gp)
+    if d.degree == 0:
+        return dict.fromkeys(factor_squarefree(g), 1)
+    rem = g
+    for irr in factor_squarefree(g.divmod(d)[0]):
+        m = 0
+        while True:
+            quo, r = rem.divmod(irr)
+            if r:
+                break
+            rem, m = quo, m + 1
+        out[irr] = m
+    out.update(squarefree_descent(rem, p, factor_squarefree, coeff_pth_root))
+    return out
+
+
 def poly_factor_fq(f: Poly, rng: random.Random | None = None):
     """Factor a nonzero polynomial over GF(p^n).
 
     Returns a deterministically ordered list of (monic irreducible,
     multiplicity) pairs whose product, scaled by the leading coefficient of
-    the input, reproduces f.  Squarefree reduction descends through p-th
-    roots when the derivative vanishes.
+    the input, reproduces f.  The squarefree descent is
+    ``squarefree_descent``; every coefficient over GF(p^n) has a p-th root.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if rng is None:
         rng = random.Random(0)
-    f = f.monic()
-    result: dict[Poly, int] = {}
-
-    def accumulate(g: Poly, mult: int):
-        if g.degree == 0:
-            return
-        fp = g.derivative()
-        if not fp:
-            root = poly_pth_root(g)
-            accumulate(root, mult * g.field.p)
-            return
-        d = poly_gcd(g, fp)
-        if d.degree == 0:
-            for irr in _factor_squarefree_fq(g, rng):
-                result[irr] = result.get(irr, 0) + mult
-            return
-        s = g.divmod(d)[0]
-        rem = g
-        for irr in _factor_squarefree_fq(s, rng):
-            m = 0
-            while True:
-                q, r = rem.divmod(irr)
-                if r:
-                    break
-                rem = q
-                m += 1
-            result[irr] = result.get(irr, 0) + mult * m
-        accumulate(rem, mult)
-
-    accumulate(f, 1)
-    return sorted(result.items(), key=lambda kv: kv[0].sort_key())
+    factors = squarefree_descent(
+        f.monic(), f.field.p, lambda s: _factor_squarefree_fq(s, rng),
+        FqElem.frobenius_inverse)
+    return sorted(factors.items(), key=lambda kv: kv[0].sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -1113,7 +1142,6 @@ class RatFunc:
         # big_den as a polynomial in s: undo the inflation
         den_s = big_den.deflate(p)
         out = []
-        zero_poly = Poly.zero(f.base)
         for u in range(p):
             cs = [big_num.coeff(p * i + u) for i in range(big_num.degree // p + 1)]
             num_u = Poly(f.base, cs)

@@ -12,7 +12,7 @@ Smith normal form of Y*I - A over the polynomial ring.
 from __future__ import annotations
 
 from .errors import NotSquare, VerificationFailed
-from .fieldkit import Poly, RatFunc, RatFuncField, poly_lcm
+from .fieldkit import Poly, RatFunc, RatFuncField, common_denominator
 
 
 class Matrix:
@@ -253,11 +253,8 @@ def char_poly(M: Matrix) -> Poly:
         return Poly.one(field)
     if isinstance(field, RatFuncField):
         base = field.base
-        den = Poly.one(base)
-        for r in M.rows:
-            for e in r:
-                den = poly_lcm(den, e.den)
-        rows = [[e.num * (den // e.den) for e in r] for r in M.rows]
+        den, nums = common_denominator(e for r in M.rows for e in r)
+        rows = [nums[i:i + n] for i in range(0, n * n, n)]
         C = _berkowitz(rows, Poly.zero(base), Poly.one(base))
         # det(Y I - A) = d^-n det((d Y) I - d A): the Y^k coefficient of
         # the polynomial-entry determinant gets divided by d^(n-k)

@@ -21,7 +21,7 @@ from .errors import (
     NotDivisible,
     ZeroOperator,
 )
-from .fieldkit import Poly, RatFuncField, binary_power
+from .fieldkit import RatFuncField, binary_power, common_denominator
 from .linalg import DependencyFinder
 
 
@@ -300,21 +300,10 @@ def operator_degree(A: OrePoly) -> int:
     a common monic denominator D and return max(deg D, max_i deg p_i)."""
     if not A:
         return 0
-    from .fieldkit import poly_lcm
-
-    field = A.field
-    if not isinstance(field, RatFuncField):
+    if not isinstance(A.field, RatFuncField):
         raise FieldMismatch("operator degree is defined over GF(q)(t)")
-    den = Poly.one(field.base)
-    for c in A.coeffs:
-        if c:
-            den = poly_lcm(den, c.den)
-    deg = den.degree
-    for c in A.coeffs:
-        if c:
-            p = c.num * den.divmod(c.den)[0]
-            deg = max(deg, p.degree)
-    return deg
+    den, nums = common_denominator(A.coeffs)
+    return max(c.degree for c in (den, *nums))
 
 
 def is_central(C: OrePoly) -> bool:

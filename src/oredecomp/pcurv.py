@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstantFieldViolation, InseparableFactor, ZeroOrder
-from .fieldkit import Poly, RatFunc, poly_gcd, poly_lcm
+from .fieldkit import Poly, RatFunc, common_denominator, poly_gcd
 from .linalg import Matrix, char_poly, invariant_factors
 from .ore import OrePoly
 from .serialize import ypoly_str
@@ -118,11 +118,7 @@ def pcurvature_matrix(L: OrePoly) -> Matrix:
     base = field.base
     p = base.p
     r = L.order
-    a = L.monic().coeffs[:r]
-    den = Poly.one(base)
-    for c in a:
-        den = poly_lcm(den, c.den)
-    big_a = [c.num * (den // c.den) for c in a]
+    den, big_a = common_denominator(L.monic().coeffs[:r])
     dden = den.derivative()
     zero = Poly.zero(base)
     v = [Poly.one(base)] + [zero] * (r - 1)
@@ -268,10 +264,16 @@ def check_separable_factors(L: OrePoly):
     return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
 
 
+def checked_invariants(L: OrePoly) -> list[Poly]:
+    """The Frobenius invariants of L, after checking the separability
+    hypothesis on the same p-curvature record (one matrix per operator)."""
+    data = pcurv_data(L)
+    separable_factors(invariants_pth_root(data.charpoly))
+    return data.invariants
+
+
 def operators_equivalent(L1: OrePoly, L2: OrePoly) -> bool:
     """Equivalence of quotient modules: equal Frobenius invariant chains.
 
     Both operators must satisfy the separability hypothesis (checked)."""
-    check_separable_factors(L1)
-    check_separable_factors(L2)
-    return frobenius_invariants(L1) == frobenius_invariants(L2)
+    return checked_invariants(L1) == checked_invariants(L2)

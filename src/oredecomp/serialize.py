@@ -71,12 +71,13 @@ def _coeff_term(c: RatFunc, power_str: str | None) -> str:
 
 
 def operator_str(A, var: str = "D") -> str:
-    """Deterministic serialization of an operator, descending in D."""
+    """Deterministic serialization of an operator, descending in D; a
+    polynomial over GF(q)(t) prints the same way in Y."""
     if not A:
         return "0"
     terms = []
-    for i in range(A.order, -1, -1):
-        c = A.coeff(i)
+    for i in range(len(A.coeffs) - 1, -1, -1):
+        c = A.coeffs[i]
         if not c:
             continue
         power = None if i == 0 else (var if i == 1 else "%s^%d" % (var, i))
@@ -86,16 +87,7 @@ def operator_str(A, var: str = "D") -> str:
 
 def ypoly_str(P: Poly, var: str = "Y") -> str:
     """A polynomial over GF(q)(t), same shape as operators but commutative."""
-    if not P:
-        return "0"
-    terms = []
-    for i in range(P.degree, -1, -1):
-        c = P.coeff(i)
-        if not c:
-            continue
-        power = None if i == 0 else (var if i == 1 else "%s^%d" % (var, i))
-        terms.append(_coeff_term(c, power))
-    return " + ".join(terms)
+    return operator_str(P, var)
 
 
 def spoly_str(P: Poly, var: str = "Y") -> str:

@@ -24,11 +24,12 @@ from .fieldkit import (
     FqField,
     Poly,
     RatFunc,
+    common_denominator,
     fq_make,
     poly_factor_fq,
     poly_gcd,
-    poly_lcm,
     poly_xgcd,
+    squarefree_descent,
 )
 from .linalg import Matrix, solve
 
@@ -227,20 +228,10 @@ def _hensel_list(f, parts, prec, field):
 # ---------------------------------------------------------------------------
 
 def _clear_denominators(s_poly: Poly):
-    """Monic S over GF(q)(t)  ->  primitive F in GF(q)[t][Y] plus its leading
-    Y-coefficient (a polynomial in t)."""
-    ratfield = s_poly.field
-    den = Poly.one(ratfield.base)
-    for c in s_poly.coeffs:
-        if c:
-            den = poly_lcm(den, c.den)
-    cleared = []
-    for c in s_poly.coeffs:
-        if c:
-            cleared.append(c.num * den.divmod(c.den)[0])
-        else:
-            cleared.append(Poly.zero(ratfield.base))
-    content = Poly.zero(ratfield.base)
+    """Monic S over GF(q)(t)  ->  the coefficients of the primitive F in
+    GF(q)[t][Y] proportional to S (ascending in Y)."""
+    _, cleared = common_denominator(s_poly.coeffs)
+    content = Poly.zero(s_poly.field.base)
     for c in cleared:
         if c:
             content = poly_gcd(content, c) if content else c.monic()
@@ -314,7 +305,6 @@ def _factor_squarefree_separable(s_poly: Poly, rng) -> list[Poly]:
 
 
 def _lift_and_recombine(s_poly, cleared, t0, emb, prec, rng):
-    ratfield = s_poly.field
     big = emb.big
     # series picture around t0
     coeffs_u = [_shift_series(c, t0, emb) for c in cleared]
@@ -360,10 +350,7 @@ def _candidate_factor(remaining, lifted, subset, t0, emb, prec):
     GF(q)(t), quotient)."""
     ratfield = remaining.field
     big = emb.big
-    den_cur = Poly.one(ratfield.base)
-    for c in remaining.coeffs:
-        if c:
-            den_cur = poly_lcm(den_cur, c.den)
+    den_cur, _ = common_denominator(remaining.coeffs)
     # the leading Y-coefficient of the cleared remaining polynomial, as a
     # series in u: a true factor times it lands in GF(q)[t] within precision
     prod = [_ser_trunc(_shift_series(den_cur, t0, emb), prec)]
@@ -400,63 +387,14 @@ def factor_monic_in_y(q_poly: Poly, rng: random.Random | None = None):
     Returns a deterministically ordered list of (factor, multiplicity) pairs.
     Inseparable irreducible factors (with vanishing Y-derivative) are
     returned as such; downstream separability hypotheses are checked by the
-    caller.
+    caller.  The squarefree descent is ``fieldkit.squarefree_descent``; a
+    coefficient's p-th root exists only when it lies in GF(q)(t^p).
     """
     if not q_poly or not q_poly.is_monic():
         raise NotMonic("factorisation requires a monic polynomial")
     if rng is None:
         rng = random.Random(0)
-    ratfield = q_poly.field
-    p = ratfield.base.p
-
-    def _coeff_pth_root(h: Poly):
-        roots = []
-        for c in h.coeffs:
-            r = c.pth_root()
-            if r is None:
-                return None
-            roots.append(r)
-        return Poly(ratfield, roots)
-
-    def _factor(g: Poly) -> dict[Poly, int]:
-        out: dict[Poly, int] = {}
-        if g.degree == 0:
-            return out
-        gp = g.derivative()
-        if not gp:
-            # g(Y) = inner(Y^p) with coefficients unchanged; an irreducible
-            # factor h of inner yields either the p-th power of the
-            # coefficient-rooted polynomial or an inseparable h(Y^p).
-            inner = g.deflate(p)
-            for h, m in _factor(inner).items():
-                rooted = _coeff_pth_root(h)
-                if rooted is not None:
-                    out[rooted] = out.get(rooted, 0) + m * p
-                else:
-                    hy = h.inflate(p)
-                    out[hy] = out.get(hy, 0) + m
-            return out
-        d = poly_gcd(g, gp)
-        if d.degree == 0:
-            for irr in _factor_squarefree_separable(g, rng):
-                out[irr] = out.get(irr, 0) + 1
-            return out
-        # the separable factors of multiplicity not divisible by p show up in
-        # g / gcd(g, g'); take their true multiplicities by trial division
-        # and recurse on the invisible remainder
-        s = g.divmod(d)[0]
-        rem = g
-        for irr in _factor_squarefree_separable(s, rng):
-            m = 0
-            while True:
-                quo, r = rem.divmod(irr)
-                if r:
-                    break
-                rem = quo
-                m += 1
-            out[irr] = out.get(irr, 0) + m
-        for h, m in _factor(rem).items():
-            out[h] = out.get(h, 0) + m
-        return out
-
-    return sorted(_factor(q_poly).items(), key=lambda kv: kv[0].sort_key())
+    factors = squarefree_descent(
+        q_poly, q_poly.field.base.p,
+        lambda s: _factor_squarefree_separable(s, rng), RatFunc.pth_root)
+    return sorted(factors.items(), key=lambda kv: kv[0].sort_key())

@@ -215,6 +215,19 @@ def test_bad_field_parameters_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_json_out_write_failure_exit_2(tmp_path, capsys):
+    args = ["gcrd", "--p", "3", "--expr", "D", "--expr", "D-1", "--json-out"]
+    assert run(args + [str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert set(doc) == {"error", "class"} and doc["class"] == "FileNotFoundError"
+    # a writable path receives exactly the report printed on stdout
+    target = tmp_path / "x.json"
+    assert run(args + [str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 def test_parser_edge_expressions():
     F3 = fq_make(3)
     R = RatFuncField(F3)

@@ -6,12 +6,15 @@ from oredecomp import fieldkit
 from oredecomp.errors import DivisionByZero, NotPrime, ReducibleModulus
 from oredecomp.fieldkit import (
     Poly,
+    RatFunc,
     RatFuncField,
+    common_denominator,
     fq_frobenius_inverse,
     fq_inv,
     fq_make,
     poly_factor_fq,
     poly_gcd,
+    poly_lcm,
     ratfunc_derivative,
     ratfunc_pth_root,
 )
@@ -286,3 +289,62 @@ def test_kronecker_product_over_extension_fields(p, n):
             for j, y in enumerate(b.coeffs):
                 out[i + j] = out[i + j] + x * y
         assert a * b == Poly(F, out)
+
+
+def _nonprime_elem(field):
+    """g over GF(p^n), n >= 2; 1 over a prime field."""
+    return field.gen() if field.n > 1 else field.one
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (17, 1)])
+def test_common_denominator(p, n):
+    F = fq_make(p, n)
+    R = RatFuncField(F)
+    t, one = R.t, R.one
+    g = R.from_base(_nonprime_elem(F))
+    rng = random.Random(100 * p + n)
+    shared = [one / (t * (t + one)), (t + g) / (t * t), R.zero, t * t + one,
+              g / (t + one) ** 3, R.zero]
+    polys = [t * t + g, R.zero, g, t]
+    randoms = [rand_ratfunc(R, rng, 2, 2) for _ in range(8)]
+    for values in (shared, polys, randoms, [R.zero]):
+        den, nums = common_denominator(values)
+        lcm = Poly.one(F)
+        for c in values:
+            lcm = poly_lcm(lcm, c.den)
+        assert den.is_monic() and den == lcm
+        assert len(nums) == len(values)
+        for c, num in zip(values, nums):
+            assert RatFunc.make(R, num, den) == c
+            assert bool(num) == bool(c)
+    assert common_denominator(polys)[0] == Poly.one(F)
+    den, _ = common_denominator(shared)
+    assert den == Poly(F, [F.zero, F.zero, F.one]) * Poly(F, [F.one, F.one]) ** 3
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_poly_factor_deep_descent(p, n):
+    """Multiplicities p + 1, p^2 and p^2 + 1: the p^2 factor is reached only
+    through two nested p-th-root descents, the others by trial division."""
+    F = fq_make(p, n)
+    g = _nonprime_elem(F)
+    a = Poly(F, [-g, F.one])                # t - g
+    c = Poly(F, [-(g + F.one), F.one])      # t - (g + 1)
+    # an irreducible quadratic (no root), with a t-coefficient outside GF(p)
+    # when n > 1 so that the descent needs a nontrivial coefficient root
+    b = next(q for c1 in F.all_elements() for c0 in F.all_elements()
+             for q in [Poly(F, [c0, c1, F.one])]
+             if (n == 1 or c1.frobenius() != c1)
+             and all(q.eval(x) for x in F.all_elements()))
+    assert a != c
+    expected = {a: p + 1, b: p * p, c: p * p + 1}
+    f = Poly.one(F)
+    for h, m in expected.items():
+        f = f * h ** m
+    f = f.scale(g)
+    factors = poly_factor_fq(f)
+    prod = Poly.one(F).scale(f.lc)
+    for irr, m in factors:
+        prod = prod * irr ** m
+    assert prod == f
+    assert dict(factors) == expected

@@ -144,6 +144,32 @@ def test_equivalence_examples():
     assert operators_equivalent(L, L)
 
 
+def test_equivalence_reads_one_pcurvature_per_operator(monkeypatch, capsys):
+    """operators_equivalent and the CLI's equivalent build one p-curvature
+    matrix per operator: both invariants and the separability check read
+    the same record."""
+    import oredecomp.pcurv as pcurv
+    from oredecomp.cli import run
+
+    calls = []
+    original = pcurv.pcurvature_matrix
+
+    def counting(L):
+        calls.append(L)
+        return original(L)
+
+    monkeypatch.setattr(pcurv, "pcurvature_matrix", counting)
+    R5 = RatFuncField(fq_make(5))
+    D5 = OrePoly.partial(R5)
+    shifted = OrePoly(R5, [R5.from_int(2) / R5.t, R5.one])
+    assert operators_equivalent(D5, shifted)
+    assert len(calls) == 2
+    del calls[:]
+    assert run(["equivalent", "--p", "5", "--expr", "D", "--expr", "D + 2/t"]) == 0
+    assert '"equivalent": true' in capsys.readouterr().out
+    assert len(calls) == 2
+
+
 def test_equivalence_requires_separability():
     R, t, D, one = _setup()
     # chi of this operator is the cube of an inseparable irreducible

@@ -165,3 +165,31 @@ def test_no_good_specialization_is_reported(monkeypatch):
     monkeypatch.setattr(yf, "_spec_fields", lambda base, rng: iter(()))
     with pytest.raises(NoGoodSpecialization):
         factor_monic_in_y(ypoly(R, -t, 0, 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_factor_deep_descent(p, n):
+    """Multiplicities p + 1, p^2 and p^2 + 1 and an inseparable factor with
+    multiplicity p: the p^2 and the inseparable factor are reached through
+    two nested descents; Y^p - t appears where the coefficient p-th root of
+    Y - t fails."""
+    R = _setup(p, n)
+    t, one = R.t, R.one
+    g = R.from_base(R.base.gen() if n > 1 else R.base.one)
+    A = ypoly(R, -(g * t), 1)
+    # Y^2 + Y + t (p = 2) and Y^2 - t (p odd) are irreducible and separable
+    B = ypoly(R, t, 1, 1) if p == 2 else ypoly(R, -t, 0, 1)
+    C = ypoly(R, -((t + g) / (t + one)), 1)
+    E = Poly(R, [-t] + [R.zero] * (p - 1) + [one])  # Y^p - t, inseparable
+    expected = {A: p + 1, B: p * p, C: p * p + 1, E: p}
+    q = Poly.one(R)
+    for h, m in expected.items():
+        q = q * h ** m
+    factors = factor_monic_in_y(q)
+    prod = Poly.one(R)
+    for irr, m in factors:
+        assert irr.is_monic()
+        prod = prod * irr ** m
+    assert prod == q
+    assert dict(factors) == expected
+    assert not is_separable_irreducible(E) and is_separable_irreducible(B)
