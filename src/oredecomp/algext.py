@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .errors import DivisionByZero, Inseparable, NotIrreducible
 from .fieldkit import Poly, RatFunc, RatFuncField, binary_power, poly_xgcd
+from .yfactor import factor_monic_in_y
 
 
 class ExtElem:
@@ -218,8 +219,6 @@ def make_extension(n_star: Poly, check_irreducible: bool = False) -> ExtField:
     to verify it by factorisation.
     """
     if check_irreducible:
-        from .yfactor import factor_monic_in_y
-
         factors = factor_monic_in_y(n_star)
         if len(factors) != 1 or factors[0][1] != 1:
             raise NotIrreducible("defining polynomial is reducible")

@@ -40,8 +40,8 @@ from .errors import (
     RetryExhausted,
     VerificationFailed,
 )
-from .fieldkit import FqField, Poly, RatFuncField, fq_make
-from .ore import OrePoly, gcrd, lclm, apply_to, operator_degree, ore_pow
+from .fieldkit import FqField, Poly, RatFuncField, binary_power, fq_make
+from .ore import OrePoly, gcrd, lclm, apply_to, operator_degree
 from .pcurv import (
     checked_invariants,
     frobenius_invariants,
@@ -133,7 +133,7 @@ class _Parser:
             op, _, pos = self.next()
             rhs = self.factor()
             if op == "*":
-                value = self.algebra.mul(value, rhs)
+                value = value * rhs
             else:
                 value = self.algebra.div(value, rhs, pos)
         return value
@@ -162,84 +162,53 @@ class _Parser:
         raise ExprSyntaxError("unexpected token %r" % val, pos)
 
 
-class _OreAlgebra:
-    """Evaluation into GF(q)(t)<D>."""
+class _Algebra:
+    """Evaluation into GF(q)(t)<D> (ring OrePoly, variable D) or into the
+    commutative polynomial ring GF(q)(t)[Y] (ring Poly, variable Y)."""
 
-    def __init__(self, ratfield: RatFuncField):
+    def __init__(self, ring, var: str, ratfield: RatFuncField):
+        self.ring = ring
+        self.var = var
         self.ratfield = ratfield
 
+    def const(self, c):
+        return self.ring.const(self.ratfield, c)
+
     def from_int(self, k):
-        return OrePoly.const(self.ratfield, self.ratfield.from_int(k))
+        return self.const(self.ratfield.from_int(k))
 
     def symbol(self, name, pos):
-        if name == "D":
-            return OrePoly.partial(self.ratfield)
+        if name == self.var:
+            return self.ring(self.ratfield, (self.ratfield.zero, self.ratfield.one))
         if name == "t":
-            return OrePoly.const(self.ratfield, self.ratfield.t)
+            return self.const(self.ratfield.t)
         if name == "g":
             base = self.ratfield.base
             if base.n == 1:
                 raise ExprSyntaxError("symbol g is undefined over a prime field", pos)
-            return OrePoly.const(self.ratfield, self.ratfield.from_base(base.gen()))
+            return self.const(self.ratfield.from_base(base.gen()))
         raise ExprSyntaxError("symbol %r not allowed here" % name, pos)
 
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b, pos):
-        if b.order > 0:
-            raise DivisionByOperator("division by an operator of order %d" % b.order)
+        if len(b.coeffs) > 1:
+            raise DivisionByOperator(
+                "division by a term of degree %d in %s" % (len(b.coeffs) - 1, self.var))
         if not b:
             raise DivisionByZero("division by zero")
         return a.scale(b.coeff(0).inv())
 
     def pow(self, a, e):
-        return ore_pow(a, e)
-
-
-class _YAlgebra:
-    """Evaluation into the commutative polynomial ring GF(q)(t)[Y]."""
-
-    def __init__(self, ratfield: RatFuncField):
-        self.ratfield = ratfield
-
-    def from_int(self, k):
-        return Poly.const(self.ratfield, self.ratfield.from_int(k))
-
-    def symbol(self, name, pos):
-        if name == "Y":
-            return Poly.x(self.ratfield)
-        if name == "t":
-            return Poly.const(self.ratfield, self.ratfield.t)
-        if name == "g":
-            base = self.ratfield.base
-            if base.n == 1:
-                raise ExprSyntaxError("symbol g is undefined over a prime field", pos)
-            return Poly.const(self.ratfield, self.ratfield.from_base(base.gen()))
-        raise ExprSyntaxError("symbol %r not allowed here" % name, pos)
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b, pos):
-        if b.degree > 0:
-            raise DivisionByOperator("division by a polynomial of positive degree")
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a.scale(b.coeff(0).inv())
-
-    def pow(self, a, e):
-        return a ** e
+        return binary_power(a, e, self.ring.one(self.ratfield))
 
 
 def parse_operator(text: str, field: FqField) -> OrePoly:
     """Parse an operator expression over GF(q)(t)."""
-    return _Parser(text, _OreAlgebra(RatFuncField(field))).parse()
+    return _Parser(text, _Algebra(OrePoly, "D", RatFuncField(field))).parse()
 
 
 def parse_ypoly(text: str, field: FqField) -> Poly:
     """Parse a commutative polynomial in Y over GF(q)(t)."""
-    return _Parser(text, _YAlgebra(RatFuncField(field))).parse()
+    return _Parser(text, _Algebra(Poly, "Y", RatFuncField(field))).parse()
 
 
 # deterministic serialization (inverse of the grammar above) lives in
@@ -263,6 +232,10 @@ def _build_field(args) -> FqField:
     if args.modulus:
         modulus = [int(x) for x in args.modulus.split(",")]
     return fq_make(args.p, args.n, modulus)
+
+
+def _field_json(field: FqField) -> dict:
+    return {"p": field.p, "n": field.n, "modulus": list(field.modulus)}
 
 
 def _read_expr(raw: str) -> str:
@@ -299,7 +272,7 @@ def _report_json(report: DecompositionReport, field: FqField, args, elapsed_ms):
         ))
     doc = {
         "input": operator_str(report.input),
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "monic_input": operator_str(report.monic_input),
         "char_poly": spoly_str(report.charpoly),
         "invariants": [spoly_str(P) for P in report.invariants],
@@ -329,7 +302,7 @@ def _cmd_pcurvature(args, field):
     elapsed = round((time.perf_counter() - start) * 1000.0, 3)
     doc = {
         "input": operator_str(L),
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "monic_input": operator_str(L.monic()),
         "matrix": [[ratfunc_str(e) for e in row] for row in data.matrix.rows],
         "matrix_in_constant_field": data.matrix_constants is not None,
@@ -345,14 +318,12 @@ def _cmd_pcurvature(args, field):
 
 def _cmd_gcrd(args, field):
     ops = [parse_operator(_read_expr(e), field) for e in args.expr]
-    if len(ops) < 2:
-        raise ExprSyntaxError("gcrd needs at least two --expr operands", 0)
     acc = ops[0]
     for op in ops[1:]:
         acc = gcrd(acc, op)
     return {
         "inputs": [operator_str(op) for op in ops],
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "result": operator_str(acc),
         "order": acc.order,
     }
@@ -360,20 +331,16 @@ def _cmd_gcrd(args, field):
 
 def _cmd_lclm(args, field):
     ops = [parse_operator(_read_expr(e), field) for e in args.expr]
-    if len(ops) < 2:
-        raise ExprSyntaxError("lclm needs at least two --expr operands", 0)
     acc = lclm(ops)
     return {
         "inputs": [operator_str(op) for op in ops],
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "result": operator_str(acc),
         "order": acc.order,
     }
 
 
 def _cmd_apply(args, field):
-    if len(args.expr) != 2:
-        raise ExprSyntaxError("apply needs --expr OPERATOR --expr FUNCTION", 0)
     L = parse_operator(_read_expr(args.expr[0]), field)
     fop = parse_operator(_read_expr(args.expr[1]), field)
     if fop.order > 0:
@@ -382,21 +349,19 @@ def _cmd_apply(args, field):
     return {
         "operator": operator_str(L),
         "argument": ratfunc_str(f),
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "result": ratfunc_str(apply_to(L, f)),
     }
 
 
 def _cmd_equivalent(args, field):
-    if len(args.expr) != 2:
-        raise ExprSyntaxError("equivalent needs exactly two --expr operands", 0)
     L1 = parse_operator(_read_expr(args.expr[0]), field)
     L2 = parse_operator(_read_expr(args.expr[1]), field)
     inv1 = checked_invariants(L1.monic())
     inv2 = checked_invariants(L2.monic())
     return {
         "inputs": [operator_str(L1), operator_str(L2)],
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "invariants": [[spoly_str(P) for P in inv1], [spoly_str(P) for P in inv2]],
         "equivalent": inv1 == inv2,
     }
@@ -413,7 +378,7 @@ def _cmd_repr(args, field):
     elapsed = round((time.perf_counter() - start) * 1000.0, 3)
     doc = {
         "invariants_requested": [ypoly_str(q) for q in chain],
-        "field": {"p": field.p, "n": field.n, "modulus": list(field.modulus)},
+        "field": _field_json(field),
         "l_star": operator_str(rep.l_star),
         "factors": [
             _factor_entry(op, operator_degree(op),
@@ -429,15 +394,26 @@ def _cmd_repr(args, field):
     return doc
 
 
+# subcommand -> (handler, number of --expr operands, True if that number is
+# only the least)
 _COMMANDS = {
-    "decompose": _cmd_decompose,
-    "pcurvature": _cmd_pcurvature,
-    "gcrd": _cmd_gcrd,
-    "lclm": _cmd_lclm,
-    "apply": _cmd_apply,
-    "equivalent": _cmd_equivalent,
-    "repr": _cmd_repr,
+    "decompose": (_cmd_decompose, 1, False),
+    "pcurvature": (_cmd_pcurvature, 1, False),
+    "gcrd": (_cmd_gcrd, 2, True),
+    "lclm": (_cmd_lclm, 2, True),
+    "apply": (_cmd_apply, 2, False),
+    "equivalent": (_cmd_equivalent, 2, False),
+    "repr": (_cmd_repr, 0, False),
 }
+
+
+def _check_operands(command: str, exprs) -> None:
+    _, want, at_least = _COMMANDS[command]
+    if len(exprs) == want or (at_least and len(exprs) > want):
+        return
+    raise ExprSyntaxError("%s takes %s %d --expr operand%s, got %d" % (
+        command, "at least" if at_least else "exactly", want,
+        "" if want == 1 else "s", len(exprs)), 0)
 
 
 def _make_argparser():
@@ -489,8 +465,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _check_operands(args.command, args.expr)
         field = _build_field(args)
-        doc = _COMMANDS[args.command](args, field)
+        doc = _COMMANDS[args.command][0](args, field)
     except (OredecompError, ValueError) as exc:
         return _error_exit(exc)
     text = json.dumps(doc, indent=2)

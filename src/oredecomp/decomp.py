@@ -23,9 +23,9 @@ Every returned decomposition is re-verified exactly: LCLM re-check, order
 sum, right-divisibility and per-factor indecomposability.  One run solves
 the Artin-Schreier system at most once per N_*: its verdict store is filled
 by stripping and nice_repr and read by verification, which also reuses the
-run's p-curvature record for a factor equal to the input.  The report's
-iso_witness is None whenever no isomorphism is computed (order 1, fully
-central inputs, and the cyclic case of step 3).
+run's p-curvature record, with chi's factorisation, for a factor equal to the
+input.  The report's iso_witness is None whenever no isomorphism is computed
+(fully central inputs and the cyclic case of step 3, which includes order 1).
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .errors import (
     CentralIrreducibleFactor,
     ConstantFieldViolation,
     EmptyRequest,
-    InseparableFactor,
     NotCoprime,
-    NotDivisible,
     OrderMismatch,
     RetryExhausted,
     VerificationFailed,
@@ -65,13 +63,12 @@ from .serialize import ypoly_str
 from .pcurv import (
     PCurvData,
     central_operator,
-    check_separable_factors,
     invariants_pth_root,
+    pcurv_charpoly,
     pcurv_data,
     ratfunc_from_constants,
     separable_factors,
 )
-from .yfactor import factor_monic_in_y, is_separable_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,7 @@ def check_hypothesis(L: OrePoly):
     irreducible factor separable.  Returns [(N_*, multiplicity)]."""
     if not L:
         raise ZeroOperator("hypothesis check of the zero operator")
-    return check_separable_factors(L)
+    return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
 
 
 def _primary_component(L: OrePoly, n_star: Poly, nu: int) -> OrePoly:
@@ -272,11 +269,7 @@ def nice_repr(request, witnesses: dict | None = None) -> NiceRepr:
     pieces = []
     labels = []
     t_rf = ratfield.t
-    for n_star, _ in factor_monic_in_y(q_m):
-        if not is_separable_irreducible(n_star):
-            raise InseparableFactor(
-                "inseparable factor in the request: %s" % ypoly_str(n_star)
-            )
+    for n_star, _ in separable_factors(q_m):
         verdict = _verdict(n_star, witnesses)
         if not verdict.reducible:
             raise CentralIrreducibleFactor(
@@ -396,9 +389,9 @@ def propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
 def is_indecomposable(L: OrePoly, *, witnesses: dict | None = None,
                       data: PCurvData | None = None) -> bool:
     """True when D_L does not split: chi's p-th root is a power N_*^k of a
-    single irreducible N_*, and either the central symbol of N_* is reducible
-    and the p-curvature has a single invariant factor, or it is irreducible
-    and L is exactly a power of it.
+    single irreducible N_*, k = ord L / deg N_*, and either the central
+    symbol of N_* is reducible and the p-curvature has a single invariant
+    factor, or it is irreducible and L is N^(k/p)(D^p) itself.
 
     The ASD verdict is needed only when p divides k: an irreducible symbol
     makes every simple module of order p deg N_*, hence k a multiple of p,
@@ -414,21 +407,15 @@ def is_indecomposable(L: OrePoly, *, witnesses: dict | None = None,
         return True
     if data is None:
         data = pcurv_data(L)
-    factors = separable_factors(invariants_pth_root(data.charpoly))
+    factors = data.root_factors
     if len(factors) != 1:
         return False
-    n_star, k = factors[0]
+    n_star = factors[0][0]
+    k = L.order // n_star.degree
     p = L.field.base.p
     if k % p or _verdict(n_star, {} if witnesses is None else witnesses).reducible:
         return len(data.invariants) == 1
-    block = central_operator(n_star, p)
-    cur = L.monic()
-    while cur.order > 0:
-        try:
-            cur = exact_right_quotient_central(cur, block)
-        except NotDivisible:
-            return False
-    return cur == OrePoly.one(L.field)
+    return L.monic() == central_operator(n_star, k)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +469,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
     data = pcurv_data(l_mon)
     chain = list(data.invariant_roots)
     m = len(chain)
-    list_factor = separable_factors(chain[-1])
+    list_factor = data.root_factors
 
     collected: list[OrePoly] = []
     labels: list[FactorLabel] = []
@@ -490,11 +477,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
     stripped = set()
     cur_l = l_mon
 
-    if l_mon.order == 1:
-        collected = [l_mon]
-        labels = [FactorLabel(chain[-1], 1, 0)]
-        cur_l = OrePoly.one(field)
-    elif m == p:
+    if m == p:
         for n_star, _ in list_factor:
             nu_first = _multiplicity(n_star, chain[0])
             nu_last = _multiplicity(n_star, chain[-1])
@@ -519,7 +502,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
                 labels.append(FactorLabel(n_star, p * nu, 0))
             else:
                 sub = nice_repr([n_star ** nu] * p, witnesses=witnesses)
-                if lclm(sub.pieces) != central.monic():
+                if sub.l_star != central.monic():
                     raise VerificationFailed(
                         "central pieces do not rebuild the central factor"
                     )

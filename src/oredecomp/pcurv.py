@@ -23,12 +23,14 @@ GF(q)(t) and drive the decomposition pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConstantFieldViolation, InseparableFactor, ZeroOrder
 from .fieldkit import Poly, RatFunc, common_denominator, poly_gcd
 from .linalg import Matrix, char_poly, invariant_factors
 from .ore import OrePoly
 from .serialize import ypoly_str
+from .yfactor import factor_monic_in_y, is_separable_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,9 @@ class PCurvData:
     charpoly        -- monic chi over GF(q)(s)
     invariants      -- P_1 | ... | P_m over GF(q)(s), m <= p
     invariant_roots -- Q_1 | ... | Q_m over GF(q)(t), Q_i^p(Y) = P_i(Y^p)
+    root_factors    -- separable_factors(Q_m), [(N_*, nu_N(Q_m))]: the
+                       irreducible factors of chi's p-th root, factored on
+                       first read and kept with the record
     """
 
     matrix: Matrix
@@ -216,6 +221,10 @@ class PCurvData:
     charpoly: Poly
     invariants: list
     invariant_roots: list
+
+    @cached_property
+    def root_factors(self):
+        return separable_factors(self.invariant_roots[-1])
 
 
 def pcurv_data(L: OrePoly) -> PCurvData:
@@ -248,8 +257,6 @@ def separable_factors(root: Poly):
     of the root chain) and verify that every irreducible factor is
     separable.  Returns [(N_*, multiplicity)]; raises InseparableFactor
     otherwise."""
-    from .yfactor import factor_monic_in_y, is_separable_irreducible
-
     factors = factor_monic_in_y(root)
     for n_star, _ in factors:
         if not is_separable_irreducible(n_star):
@@ -259,16 +266,11 @@ def separable_factors(root: Poly):
     return factors
 
 
-def check_separable_factors(L: OrePoly):
-    """separable_factors of the p-th root of chi(psi_p^L)."""
-    return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
-
-
 def checked_invariants(L: OrePoly) -> list[Poly]:
     """The Frobenius invariants of L, after checking the separability
     hypothesis on the same p-curvature record (one matrix per operator)."""
     data = pcurv_data(L)
-    separable_factors(invariants_pth_root(data.charpoly))
+    data.root_factors  # raises InseparableFactor
     return data.invariants
 
 

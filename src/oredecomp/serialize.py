@@ -13,20 +13,8 @@ from .fieldkit import FqElem, Poly, RatFunc
 
 
 def fq_str(c: FqElem) -> str:
-    field = c.field
-    if field.n == 1:
-        return str(c.coords[0])
-    terms = []
-    for i in range(field.n - 1, -1, -1):
-        v = c.coords[i]
-        if not v:
-            continue
-        if i == 0:
-            terms.append(str(v))
-        else:
-            gpow = "g" if i == 1 else "g^%d" % i
-            terms.append(gpow if v == 1 else "%d*%s" % (v, gpow))
-    return "+".join(terms) if terms else "0"
+    """A GF(q) element as a polynomial in g (FqElem's repr)."""
+    return repr(c)
 
 
 def poly_str(p: Poly, var: str = "t") -> str:

@@ -321,12 +321,17 @@ def _lift_and_recombine(s_poly, cleared, t0, emb, prec, rng):
     remaining = s_poly
     indices = list(range(len(lifted)))
     while True:
+        # the leading Y-coefficient of the cleared remaining polynomial, as a
+        # series in u: a true factor times it lands in GF(q)[t] within
+        # precision
+        den_cur, _ = common_denominator(remaining.coeffs)
+        lead = _ser_trunc(_shift_series(den_cur, t0, emb), prec)
         hit = None
         max_size = len(indices) // 2
         for size in range(1, max_size + 1):
             for subset in itertools.combinations(indices, size):
                 cand = _candidate_factor(
-                    remaining, lifted, subset, t0, emb, prec)
+                    remaining, lead, lifted, subset, t0, emb, prec)
                 if cand is not None:
                     hit = (subset, cand)
                     break
@@ -345,15 +350,13 @@ def _lift_and_recombine(s_poly, cleared, t0, emb, prec, rng):
     return sorted(found, key=lambda f: f.sort_key())
 
 
-def _candidate_factor(remaining, lifted, subset, t0, emb, prec):
-    """Try one subset of local factors; on success return (monic factor over
+def _candidate_factor(remaining, lead, lifted, subset, t0, emb, prec):
+    """Try one subset of local factors, scaled by the series ``lead`` of
+    remaining's common denominator; on success return (monic factor over
     GF(q)(t), quotient)."""
     ratfield = remaining.field
     big = emb.big
-    den_cur, _ = common_denominator(remaining.coeffs)
-    # the leading Y-coefficient of the cleared remaining polynomial, as a
-    # series in u: a true factor times it lands in GF(q)[t] within precision
-    prod = [_ser_trunc(_shift_series(den_cur, t0, emb), prec)]
+    prod = [lead]
     for i in subset:
         prod = _ymul(prod, lifted[i], prec, big)
     # back to the t variable, then down to GF(q)

@@ -228,6 +228,46 @@ def test_json_out_write_failure_exit_2(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
+_WRONG_OPERAND_COUNTS = [
+    ("decompose", 0), ("decompose", 2),
+    ("pcurvature", 0), ("pcurvature", 2),
+    ("apply", 0), ("apply", 1), ("apply", 3),
+    ("equivalent", 0), ("equivalent", 1), ("equivalent", 3),
+    ("gcrd", 0), ("gcrd", 1),
+    ("lclm", 0), ("lclm", 1),
+    ("repr", 1),
+]
+
+
+@pytest.mark.parametrize("command,count", _WRONG_OPERAND_COUNTS)
+def test_wrong_operand_count_exit_2(capsys, command, count):
+    args = [command, "--p", "3", "--invariants", "Y"] + ["--expr", "D"] * count
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert set(doc) == {"error", "class"} and doc["class"] == "ExprSyntaxError"
+    assert command in doc["error"]
+
+
+def test_gcrd_lclm_take_more_than_two_operands(capsys):
+    for command in ("gcrd", "lclm"):
+        assert run([command, "--p", "3", "--expr", "D", "--expr", "D - 1",
+                    "--expr", "D^2 - D", "--no-timings"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["inputs"]) == 3
+
+
+def test_missing_operand_is_no_traceback():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "oredecomp", "decompose", "--p", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["class"] == "ExprSyntaxError"
+
+
 def test_parser_edge_expressions():
     F3 = fq_make(3)
     R = RatFuncField(F3)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -618,3 +619,55 @@ def test_multiplicity_prime_to_p_skips_the_asd(monkeypatch, p, n, expr):
     report = lclm_decompose(L, seed=0)
     assert report.verified and report.factors == (L.monic(),)
     assert len(report.invariants) == 1
+
+
+# -- one record of chi's factorisation per run ---------------------------------
+
+def _count_calls(monkeypatch, module_name, fname):
+    """Count calls of oredecomp.<module_name>.<fname> through every oredecomp
+    module that holds a binding of it."""
+    orig = getattr(sys.modules["oredecomp." + module_name], fname)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if (key == "oredecomp" or key.startswith("oredecomp.")) \
+                and getattr(mod, fname, None) is orig:
+            monkeypatch.setattr(mod, fname, counting)
+    return calls
+
+
+def test_central_input_factors_chi_root_once(monkeypatch):
+    # D^3 - c(t^3), c = 1 + 1/(t - 1) over GF(3), as in the test above: one
+    # central factor with an irreducible symbol, equal to the input, so
+    # verification reads the run's factorisation instead of redoing it
+    R, t, D, one = _setup(3)
+    c = (R.one + R.one / (t - R.one)).inflate(3)
+    L = ore_pow(D, 3) - OrePoly.const(R, c)
+    factored = _count_calls(monkeypatch, "yfactor", "factor_monic_in_y")
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.factors == (L.monic(),)
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_central_power_is_indecomposable_without_division(monkeypatch, j):
+    # with an irreducible symbol, L is indecomposable exactly when it is
+    # N^j(D^p) itself: one comparison, no exact central quotients
+    R, t, D, one = _setup(3)
+    n_star = Poly(R, [-(R.one / t), R.one])
+    divided = _count_calls(monkeypatch, "ore", "exact_right_quotient_central")
+    assert is_indecomposable(central_operator(n_star, 3 * j))
+    assert divided == []
+
+
+def test_order_one_input_is_a_cyclic_factor():
+    R, t, D, one = _setup(5)
+    L = D - OrePoly.const(R, (t + R.one) / t)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.factors == (L,)
+    (label,) = report.labels
+    assert (label.n_star, label.nu, label.shift) == (report.invariant_roots[-1], 1, 1)

@@ -1,0 +1,117 @@
+"""Property tests (hypothesis, derandomized): parse/serialize round trips,
+the ring laws of GF(q)[t] on both sides of the Kronecker cutoff, and the
+Ore commutation and right-division identities."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oredecomp.cli import operator_str, parse_operator, parse_ypoly, ypoly_str
+from oredecomp.fieldkit import _KRONECKER_CUTOFF, Poly, RatFuncField, fq_make
+from oredecomp.ore import OrePoly, ore_divrem_right, ore_mul
+
+# GF(2), GF(3), GF(4), GF(9), GF(17)
+FIELDS = {pn: fq_make(*pn) for pn in [(2, 1), (3, 1), (2, 2), (3, 2), (17, 1)]}
+RATFIELDS = {pn: RatFuncField(F) for pn, F in FIELDS.items()}
+EXTENSIONS = [(2, 2), (3, 2)]
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
+
+field_keys = st.sampled_from(sorted(FIELDS))
+
+
+def fq_elems(F):
+    return st.lists(st.integers(0, F.p - 1), min_size=F.n, max_size=F.n).map(F.elem)
+
+
+def polys(F, max_deg):
+    return st.lists(fq_elems(F), max_size=max_deg + 1).map(lambda cs: Poly(F, cs))
+
+
+def ratfuncs(R, max_deg=2):
+    nonzero = polys(R.base, max_deg).filter(bool)
+    return st.tuples(polys(R.base, max_deg), nonzero).map(lambda nd: R.elem(*nd))
+
+
+def operators(R, max_order=3, max_deg=2):
+    return st.lists(ratfuncs(R, max_deg), max_size=max_order + 1).map(
+        lambda cs: OrePoly(R, cs))
+
+
+# -- parse o serialize -----------------------------------------------------------
+
+@SETTINGS
+@given(st.data(), field_keys)
+def test_operator_round_trip(data, key):
+    L = data.draw(operators(RATFIELDS[key]))
+    assert parse_operator(operator_str(L), FIELDS[key]) == L
+
+
+@SETTINGS
+@given(st.data(), field_keys)
+def test_ypoly_round_trip(data, key):
+    R = RATFIELDS[key]
+    P = data.draw(st.lists(ratfuncs(R), max_size=4).map(lambda cs: Poly(R, cs)))
+    assert parse_ypoly(ypoly_str(P), FIELDS[key]) == P
+
+
+# -- GF(p)[t] and GF(p^n)[t] ------------------------------------------------------
+
+def _convolution(a, b):
+    """Schoolbook product on field elements, independent of Poly.__mul__."""
+    F = a.field
+    out = [F.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(F, out)
+
+
+@SETTINGS
+@given(st.data(), field_keys)
+def test_poly_ring_laws(data, key):
+    # degrees up to 9: degree products from 0 to 81 straddle the cutoff
+    F = FIELDS[key]
+    a, b, c = (data.draw(polys(F, 9)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a == _convolution(a, b)
+    if b:
+        q, r = a.divmod(b)
+        assert a == q * b + r and r.degree < b.degree
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from(EXTENSIONS), st.booleans())
+def test_extension_products_on_both_sides_of_the_cutoff(data, key, above):
+    F = FIELDS[key]
+    low = 5 if above else 1
+    deg = st.integers(low, 8 if above else 3)
+    a = Poly(F, [data.draw(fq_elems(F)) for _ in range(data.draw(deg))] + [F.one])
+    b = Poly(F, [data.draw(fq_elems(F)) for _ in range(data.draw(deg))] + [F.one])
+    assert (a.degree * b.degree >= _KRONECKER_CUTOFF) == above
+    assert a * b == _convolution(a, b)
+    assert (a * b).divmod(b) == (a, Poly.zero(F))
+
+
+# -- the Ore ring ----------------------------------------------------------------
+
+@SETTINGS
+@given(st.data(), field_keys)
+def test_commutation_rule(data, key):
+    R = RATFIELDS[key]
+    f = data.draw(ratfuncs(R))
+    D = OrePoly.partial(R)
+    F = OrePoly.const(R, f)
+    # D*f = f*D + f'
+    assert ore_mul(D, F) == ore_mul(F, D) + OrePoly.const(R, f.derivative())
+
+
+@SETTINGS
+@given(st.data(), field_keys)
+def test_right_division_identity(data, key):
+    R = RATFIELDS[key]
+    A = data.draw(operators(R, 4, 1))
+    B = data.draw(operators(R, 2, 1).filter(bool))
+    Q, Rem = ore_divrem_right(A, B)
+    assert ore_mul(Q, B) + Rem == A
+    assert Rem.order < B.order
