@@ -19,6 +19,9 @@ has no inseparable irreducible factor, the pipeline:
    map; and
 6. propagates the known decomposition through the isomorphism by GCRDs.
 
+Steps 4-6 act on quotient modules D_L only through L's companion connection
+(ore.times_d_mod, ore.mul_mod), never by a product and a right division.
+
 Every returned decomposition is re-verified exactly: LCLM re-check, order
 sum, right-divisibility and per-factor indecomposability.  One run solves
 the Artin-Schreier system at most once per N_*: its verdict store is filled
@@ -49,15 +52,16 @@ from .fieldkit import Poly, RatFuncField
 from .linalg import DependencyFinder, Matrix, kernel_basis
 from .ore import (
     OrePoly,
-    _partial_times,
     exact_right_quotient_central,
     gcrd,
     lclm,
+    mul_mod,
     operator_degree,
     ore_mul,
     ore_pow,
     ore_rem,
     shift_partial,
+    times_d_mod,
 )
 from .serialize import ypoly_str
 from .pcurv import (
@@ -187,25 +191,21 @@ def minimal_rational_multiple(R: OrePoly, ext: ExtField) -> OrePoly:
     """The minimal-order monic operator over GF(q)(t) that is a left multiple
     of R in K<D>.
 
-    The remainders of D^k modulo R are flattened to GF(q)(t) coordinates
-    (dimension ord R * deg K); the first linear dependency gives the
-    multiple."""
+    The remainders of D^k modulo R, stepped by R's companion connection, are
+    flattened to GF(q)(t) coordinates (dimension ord R * deg K); the first
+    linear dependency gives the multiple."""
     if not R:
         raise ZeroOperator("minimal multiple of the zero operator")
     ratfield = ext.ratfield
-    if R.order == 0:
-        return OrePoly.one(ratfield)
+    tail = R.monic().coeffs[:-1]
     dim = R.order * ext.deg
     finder = DependencyFinder(ratfield, dim)
-    cur = OrePoly.one(ext)
+    cur = [ext.one if j == 0 else ext.zero for j in range(R.order)]
     for _ in range(dim + 1):
-        vec = []
-        for i in range(R.order):
-            vec.extend(cur.coeff(i).coords)
-        combo = finder.offer(vec)
+        combo = finder.offer([x for c in cur for x in c.coords])
         if combo is not None:
             return OrePoly(ratfield, combo)
-        cur = ore_rem(_partial_times(cur), R)
+        cur = times_d_mod(cur, tail, ext)
     raise AssertionError("rational multiple must exist by order %d" % dim)
 
 
@@ -319,12 +319,8 @@ def hom_space(l_star: OrePoly, L: OrePoly) -> HomBasis:
     columns = []
     for j in range(r):
         for u in range(p):
-            e = OrePoly(field, [field.zero] * j + [t_rf ** u])
-            w = ore_rem(ore_mul(l_star, e), L)
-            col = []
-            for jj in range(r):
-                col.extend(w.coeff(jj).tp_components())
-            columns.append(col)
+            w = mul_mod(l_star, [field.zero] * j + [t_rf ** u], L)
+            columns.append([x for c in w for x in c.tp_components()])
     mat = Matrix(field, list(zip(*columns)))
     basis = []
     for vec in kernel_basis(mat):
@@ -375,9 +371,10 @@ def propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
     the factors of L are GCRD(L, L*_i M mod L), monic."""
     if gcrd(m_op, L).order != 0:
         raise NotCoprime("isomorphism witness is not coprime with L")
+    m_vec = ore_rem(m_op, L).coeffs
     out = []
     for piece in pieces:
-        w = ore_rem(ore_mul(piece, m_op), L)
+        w = OrePoly(L.field, mul_mod(piece, m_vec, L))
         out.append(gcrd(L, w) if w else L.monic())
     return out
 

@@ -713,12 +713,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift_up(self, k):
-        """Multiply by the k-th power of the variable."""
-        if not self:
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def map_coeffs(self, func, field=None):
         return Poly(field if field is not None else self.field,
                     [func(c) for c in self.coeffs])

@@ -76,9 +76,6 @@ class Matrix:
     def scale(self, c):
         return Matrix(self.field, [[a * c for a in r] for r in self.rows])
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
-
     def is_square(self):
         return self.nrows == self.ncols
 

@@ -6,9 +6,9 @@ separable extension K of it; multiplication follows the commutation rule
 D*f = f*D + f'.  The coefficient field object must expose ``zero``, ``one``,
 ``from_int`` and ``derivative`` in addition to element arithmetic.
 
-Provides multiplication, right Euclidean division, GCRD, LCLM, the
-substitution automorphism D -> D + g, powers, application to functions, the
-operator degree measure, and exact division by central operators.
+Provides multiplication, right Euclidean division, GCRD, the companion
+connection of D_L = K<D>/K<D>L with LCLM and application to functions built on
+it, D -> D + g, powers, the operator degree measure, and central quotients.
 """
 
 from __future__ import annotations
@@ -217,47 +217,58 @@ def gcrd(A: OrePoly, B: OrePoly) -> OrePoly:
     return A.monic()
 
 
-def lclm2(A: OrePoly, B: OrePoly) -> OrePoly:
-    """The monic least common left multiple of two nonzero operators.
+def times_d_mod(v, tail, field):
+    """D*V mod monic L = D^r + sum a_j D^j in the basis D^j, with ``tail`` =
+    (a_0, ..., a_(r-1)): coordinates v_j' + v_(j-1) - v_(r-1) a_j."""
+    out = []
+    for j, a in enumerate(tail):
+        c = field.derivative(v[j]) if v[j] else field.zero
+        if j:
+            c = c + v[j - 1]
+        out.append(c - v[-1] * a)
+    return out
 
-    Found by the linear-algebra method: the images of 1, D, D^2, ... in the
-    direct sum of the two quotient modules are offered to an incremental
-    dependency search; the first dependency gives the minimal-order monic
-    operator lying in both left ideals.
-    """
-    if not A or not B:
-        raise ZeroOperator("LCLM of a zero operator")
-    A._check(B)
-    field = A.field
-    if A.order == 0 or B.order == 0:
-        # a unit generates the whole ring; the intersection is the other ideal
-        return (B if A.order == 0 else A).monic()
-    ra, rb = A.order, B.order
-    finder = DependencyFinder(field, ra + rb)
-    cur_a = OrePoly.one(field)
-    cur_b = OrePoly.one(field)
-    for _ in range(ra + rb + 1):
-        vec = [cur_a.coeff(i) for i in range(ra)] + [cur_b.coeff(i) for i in range(rb)]
-        combo = finder.offer(vec)
-        if combo is not None:
-            return OrePoly(field, combo)
-        cur_a = ore_rem(_partial_times(cur_a), A)
-        cur_b = ore_rem(_partial_times(cur_b), B)
-    raise AssertionError("LCLM dependency must appear by order %d" % (ra + rb))
+
+def mul_mod(A: OrePoly, v, L: OrePoly):
+    """The coordinates sum a_k nabla^k v of A*V mod L, for V = sum v_j D^j of
+    order < ord L (trailing zeros of v may be left out)."""
+    A._check(L)
+    field = L.field
+    tail = L.monic().coeffs[:-1]
+    acc = [field.zero] * L.order
+    cur = list(v) + [field.zero] * (L.order - len(v))
+    for k, a in enumerate(A.coeffs):
+        if k:
+            cur = times_d_mod(cur, tail, field)
+        if a:
+            acc = [x + a * c for x, c in zip(acc, cur)]
+    return acc
 
 
 def lclm(ops) -> OrePoly:
-    """The monic LCLM of a nonempty list of nonzero operators (left fold)."""
+    """The monic least common left multiple of a nonempty list of nonzero
+    operators: the first linear dependency among the images of 1, D, D^2, ...
+    in the direct sum of their quotient modules.  A unit's module is zero and
+    adds nothing to the sum."""
     ops = list(ops)
     if not ops:
         raise ZeroOperator("LCLM of an empty list")
-    acc = ops[0]
-    if not acc:
+    if not all(ops):
         raise ZeroOperator("LCLM of a zero operator")
-    acc = acc.monic()
+    field = ops[0].field
     for op in ops[1:]:
-        acc = lclm2(acc, op)
-    return acc
+        ops[0]._check(op)
+    tails = [op.monic().coeffs[:-1] for op in ops]
+    dim = sum(len(tail) for tail in tails)
+    finder = DependencyFinder(field, dim)
+    cur = [[field.one if j == 0 else field.zero for j in range(len(tail))]
+           for tail in tails]
+    for _ in range(dim + 1):
+        combo = finder.offer([c for v in cur for c in v])
+        if combo is not None:
+            return OrePoly(field, combo)
+        cur = [times_d_mod(v, tail, field) for v, tail in zip(cur, tails)]
+    raise AssertionError("LCLM dependency must appear by order %d" % dim)
 
 
 def shift_partial(A: OrePoly, g) -> OrePoly:
@@ -283,16 +294,9 @@ def ore_pow(A: OrePoly, k: int) -> OrePoly:
 
 
 def apply_to(A: OrePoly, f):
-    """Apply the operator to a coefficient-field element: sum a_i * f^(i)."""
-    field = A.field
-    acc = field.zero
-    cur = f
-    for i, a in enumerate(A.coeffs):
-        if i:
-            cur = field.derivative(cur)
-        if a:
-            acc = acc + a * cur
-    return acc
+    """Apply the operator to a coefficient-field element: A*f mod D, since
+    K<D>/K<D>D is K itself with the connection d/dt."""
+    return mul_mod(A, [f], OrePoly.partial(A.field))[0]
 
 
 def operator_degree(A: OrePoly) -> int:

@@ -1,7 +1,10 @@
 """Pinned `pcurvature` and `decompose --no-timings` output for six inputs
 (order 2-3 over GF(3), GF(5), GF(9) and GF(17); one central input, one
 with a non-cyclic p-curvature), so that exact output cannot drift when the
-arithmetic underneath changes."""
+arithmetic underneath changes.  Five more cases pin the isomorphism path
+(L*, hom space, iso, propagation): three non-cyclic `decompose` inputs, one
+of them an order-4 L* with a quadratic N_*, the `repr` that prints that L*,
+and a three-operand `lclm`."""
 
 import json
 import os

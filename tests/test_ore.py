@@ -117,6 +117,48 @@ def test_lclm_examples():
     assert lclm([A, A]) == A.monic()
 
 
+def test_lclm_with_a_unit_is_the_other_ideal():
+    R, t, D, one = _setup(5)
+    A = rand_operator(R, random.Random(7), 2)
+    unit = OrePoly.const(R, t + R.one)
+    assert lclm([A, unit]) == lclm([unit, A]) == A.monic()
+    assert lclm([unit, A, OrePoly.const(R, R.from_int(3))]) == A.monic()
+
+
+def test_lclm_of_units_is_one():
+    R, t, D, one = _setup()
+    assert lclm([OrePoly.const(R, t)]) == one
+    assert lclm([OrePoly.const(R, t), OrePoly.const(R, R.from_int(2) / t)]) == one
+
+
+def test_lclm_rejects_mixed_fields():
+    from oredecomp.errors import FieldMismatch
+
+    R3, t3, D3, one3 = _setup(3)
+    R9 = RatFuncField(fq_make(3, 2))
+    with pytest.raises(FieldMismatch):
+        lclm([D3, OrePoly.partial(R9)])
+    with pytest.raises(FieldMismatch):
+        lclm([D3, one3, OrePoly.const(R9, R9.one)])
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2)])
+def test_lclm_of_many_equals_nested_lclm(p, n):
+    R, t, D, one = _setup(p, n)
+    rng = random.Random(30 + p)
+    for _ in range(6):
+        ops = [rand_operator(R, rng, rng.randrange(1, 3), 1, 1)
+               for _ in range(rng.randrange(3, 5))]
+        L = lclm(ops)
+        nested = ops[0]
+        for op in ops[1:]:
+            nested = lclm([nested, op])
+        assert L == nested == lclm([ops[0], lclm(ops[1:])])
+        assert L.is_monic()
+        for op in ops:
+            assert not ore_rem(L, op)
+
+
 def test_order_identity_random():
     R, t, D, one = _setup(5)
     rng = random.Random(21)

@@ -1,13 +1,27 @@
 """Property tests (hypothesis, derandomized): parse/serialize round trips,
-the ring laws of GF(q)[t] on both sides of the Kronecker cutoff, and the
-Ore commutation and right-division identities."""
+the ring laws of GF(q)[t] on both sides of the Kronecker cutoff, the Ore
+commutation and right-division identities, and the companion connection
+against multiply-then-divide."""
 
-from hypothesis import given, settings
+import itertools
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oredecomp.algext import make_extension
 from oredecomp.cli import operator_str, parse_operator, parse_ypoly, ypoly_str
+from oredecomp.decomp import propagate
 from oredecomp.fieldkit import _KRONECKER_CUTOFF, Poly, RatFuncField, fq_make
-from oredecomp.ore import OrePoly, ore_divrem_right, ore_mul
+from oredecomp.ore import (
+    OrePoly,
+    _partial_times,
+    gcrd,
+    mul_mod,
+    ore_divrem_right,
+    ore_mul,
+    ore_rem,
+    times_d_mod,
+)
 
 # GF(2), GF(3), GF(4), GF(9), GF(17)
 FIELDS = {pn: fq_make(*pn) for pn in [(2, 1), (3, 1), (2, 2), (3, 2), (17, 1)]}
@@ -115,3 +129,85 @@ def test_right_division_identity(data, key):
     Q, Rem = ore_divrem_right(A, B)
     assert ore_mul(Q, B) + Rem == A
     assert Rem.order < B.order
+
+
+# -- the companion connection ------------------------------------------------------
+
+# GF(2)(t), GF(4)(t), GF(9)(t), GF(17)(t), and K = GF(3)(t)[Y]/(Y^2 - t)
+_R3 = RATFIELDS[(3, 1)]
+COEFF_FIELDS = [RATFIELDS[pn] for pn in [(2, 1), (2, 2), (3, 2), (17, 1)]]
+COEFF_FIELDS.append(make_extension(Poly(_R3, [-_R3.t, _R3.zero, _R3.one])))
+coeff_fields = st.sampled_from(range(len(COEFF_FIELDS)))
+
+
+def nonzero_ratfuncs(R, max_deg=1):
+    F = R.base
+    units = [u for u in map(F.elem, itertools.product(range(F.p), repeat=F.n)) if u]
+    nonzero = st.tuples(st.lists(fq_elems(F), max_size=max_deg),
+                        st.sampled_from(units)).map(lambda cl: Poly(F, cl[0] + [cl[1]]))
+    return st.tuples(nonzero, nonzero).map(lambda nd: R.elem(*nd))
+
+
+def coeffs(K, nonzero=False):
+    """Elements of GF(q)(t) or of a degree-2 extension of it."""
+    if isinstance(K, RatFuncField):
+        return nonzero_ratfuncs(K) if nonzero else ratfuncs(K, 1)
+    R = K.ratfield
+    if nonzero:  # a nonzero coordinate in either place
+        return st.tuples(nonzero_ratfuncs(R), ratfuncs(R, 1), st.booleans()).map(
+            lambda xyb: K.elem(xyb[:2] if xyb[2] else (xyb[1], xyb[0])))
+    return st.lists(ratfuncs(R, 1), min_size=2, max_size=2).map(K.elem)
+
+
+def ore_polys(K, max_order):
+    return st.lists(coeffs(K), max_size=max_order + 1).map(lambda cs: OrePoly(K, cs))
+
+
+def nonzero_ore_polys(K, max_order, min_order=0):
+    """Operators of order min_order to max_order with a drawn nonzero
+    leading coefficient."""
+    return st.tuples(st.lists(coeffs(K), min_size=min_order, max_size=max_order),
+                     coeffs(K, nonzero=True)).map(lambda tl: OrePoly(K, tl[0] + [tl[1]]))
+
+
+def moduli(K):
+    """Operators of order 1-3, monic or not."""
+    return st.tuples(nonzero_ore_polys(K, 3, 1), st.booleans()).map(
+        lambda lm: lm[0].monic() if lm[1] else lm[0])
+
+
+def _coords(V, r):
+    return [V.coeff(j) for j in range(r)]
+
+
+@SETTINGS
+@given(st.data(), coeff_fields)
+def test_times_d_mod_is_d_times_then_remainder(data, key):
+    K = COEFF_FIELDS[key]
+    L = data.draw(moduli(K))
+    V = data.draw(ore_polys(K, L.order - 1))
+    got = times_d_mod(_coords(V, L.order), L.monic().coeffs[:-1], K)
+    assert got == _coords(ore_rem(_partial_times(V), L), L.order)
+
+
+@SETTINGS
+@given(st.data(), coeff_fields)
+def test_mul_mod_is_product_then_remainder(data, key):
+    K = COEFF_FIELDS[key]
+    L = data.draw(moduli(K))
+    V = data.draw(ore_polys(K, L.order - 1))
+    A = data.draw(ore_polys(K, 3))
+    got = mul_mod(A, _coords(V, L.order), L)
+    assert got == _coords(ore_rem(ore_mul(A, V), L), L.order)
+
+
+@SETTINGS
+@given(st.data(), coeff_fields)
+def test_propagate_reads_m_modulo_l(data, key):
+    K = COEFF_FIELDS[key]
+    L = data.draw(moduli(K))
+    M = data.draw(nonzero_ore_polys(K, 2))
+    assume(gcrd(M, L).order == 0)
+    Q = data.draw(nonzero_ore_polys(K, 1))
+    pieces = data.draw(st.lists(nonzero_ore_polys(K, 2), min_size=1, max_size=2))
+    assert propagate(L, M, pieces) == propagate(L, M + ore_mul(Q, L), pieces)
