@@ -11,8 +11,9 @@ reduces through the commutation rule:
     base   := "D" | "t" | "g" | uint | "(" expr ")"
 
 "/" requires an order-0 right operand; "^" takes a nonnegative integer;
-juxtaposition is not multiplication.  Invariant chains use the same grammar
-with "Y" in place of "D" (and commutative multiplication).
+juxtaposition is not multiplication; parentheses nest at most _MAX_NESTING
+deep.  Invariant chains use the same grammar with "Y" in place of "D" (and
+commutative multiplication).
 
 Serialized values (operators, polynomials in Y, rational functions) re-parse
 to equal objects; constants of GF(q)(t^p) are printed in t^p form, never
@@ -56,6 +57,10 @@ from .pcurv import (
 
 _SYMBOLS = ("D", "t", "g", "Y")
 
+# each "(" costs the recursive-descent parser four stack frames, so this bound
+# keeps a parse well inside Python's default recursion limit of 1000
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -97,6 +102,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.algebra = algebra
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -156,8 +162,13 @@ class _Parser:
         if kind == "sym":
             return self.algebra.symbol(val, pos)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprSyntaxError(
+                    "parentheses nested deeper than %d" % _MAX_NESTING, pos)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ExprSyntaxError("unexpected token %r" % val, pos)
 

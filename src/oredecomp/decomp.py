@@ -5,34 +5,34 @@ has no inseparable irreducible factor, the pipeline:
 
 1. reads the Frobenius invariants P_1 | ... | P_m of the p-curvature and
    their p-th roots Q_1 | ... | Q_m over GF(q)(t);
-2. when m = p, strips maximal central divisors N(D^p)^nu, emitting them
-   directly (irreducible central case) or as p explicitly decomposed pieces;
-3. when the residual chain has a single nontrivial entry Q_m (cyclic
-   residual p-curvature), the decomposition is unique and equals the primary
-   decomposition: one factor GCRD(L, N^nu(D^p)) per irreducible N_*^nu || Q_m,
-   and steps 4-6 are skipped;
-4. otherwise builds a representative L* with the residual invariants from
-   first-order data in the extensions K_N (through the Artin-Schreier
-   witnesses), whose decomposition is known by construction;
-5. finds an isomorphism of quotient modules D_L* -> D_L as a random
-   GCRD-coprime element of the kernel of M |-> L*M mod L, a GF(q)(t^p)-linear
-   map; and
-6. propagates the known decomposition through the isomorphism by GCRDs.
-
-Steps 4-6 act on quotient modules D_L only through L's companion connection
-(ore.times_d_mod, ore.mul_mod), never by a product and a right division.
+2. classifies each irreducible factor N_* of Q_m by its layers nu_N(Q_i);
+   its primary block is GCRD(L, N^nu(D^p)), or L when N_* is chi's only
+   factor;
+3. emits a cyclic block (N_* only in Q_m) as it is: its decomposition is
+   unique;
+4. emits a central block (m = p, N_* equal in every layer) as it is when its
+   symbol is irreducible, else as the p pieces of nice_repr([N_*^nu] * p);
+5. gathers the other N_* into one residual block, builds a representative
+   L* with its invariants from first-order data in the extensions K_N
+   (through the Artin-Schreier witnesses), whose decomposition is known by
+   construction, finds an isomorphism of quotient modules D_L* -> D_block
+   as a random GCRD-coprime element of the kernel of M |-> L*M mod block, a
+   GF(q)(t^p)-linear map, and propagates the known decomposition through it
+   by GCRDs, acting on D_block only through its companion connection
+   (ore.times_d_mod, ore.mul_mod).
 
 Every returned decomposition is re-verified exactly: LCLM re-check, order
 sum, right-divisibility and per-factor indecomposability.  One run solves
 the Artin-Schreier system at most once per N_*: its verdict store is filled
-by stripping and nice_repr and read by verification, which also reuses the
-run's p-curvature record, with chi's factorisation, for a factor equal to the
-input.  The report's iso_witness is None whenever no isomorphism is computed
-(fully central inputs and the cyclic case of step 3, which includes order 1).
+by steps 4 and 5 and read by verification, which also reuses the run's
+p-curvature record, with chi's factorisation, for a factor equal to the
+input.  The report's iso_witness is the isomorphism of step 5, onto the
+residual block; it is None when every block is cyclic or central.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -52,7 +52,6 @@ from .fieldkit import Poly, RatFuncField
 from .linalg import DependencyFinder, Matrix, kernel_basis
 from .ore import (
     OrePoly,
-    exact_right_quotient_central,
     gcrd,
     lclm,
     mul_mod,
@@ -166,18 +165,23 @@ def check_hypothesis(L: OrePoly):
     return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
 
 
-def _primary_component(L: OrePoly, n_star: Poly, nu: int) -> OrePoly:
-    """GCRD(L, N^nu(D^p)): the right factor of L whose module is the
-    N_*-primary part of D_L, for N_*^nu exactly dividing chi's p-th root."""
-    return gcrd(L, central_operator(n_star, L.field.base.p * nu))
+def _block(L: OrePoly, part, factors) -> OrePoly:
+    """The right factor of L whose module is the sum of the N_*-primary parts
+    of D_L for (N_*, nu) in part, a sublist of chi's factors: monic L when part
+    holds them all, else GCRD(L, prod N^nu(D^p)), nu >= nu_N(Q_m)."""
+    if len(part) == len(factors):
+        return L.monic()
+    root = math.prod((n_star ** nu for n_star, nu in part), start=Poly.one(L.field))
+    return gcrd(L, central_operator(root, L.field.base.p))
 
 
 def first_decomposition(L: OrePoly):
-    """Split L along the distinct irreducible factors of chi:
-    L_i = GCRD(L, N_i^(p*nu_i) read as a central operator).  Returns
-    [(L_i, N_i_star, nu_i)] with the orders of the L_i summing to ord L."""
+    """Split L along the distinct irreducible factors of chi into its
+    primary blocks L_i = GCRD(L, N_i^nu_i(D^p)).  Returns [(L_i, N_i_star,
+    nu_i)], nu_i the multiplicity of N_i_star in chi's p-th root, with the
+    orders of the L_i summing to ord L."""
     factors = check_hypothesis(L)
-    out = [(_primary_component(L, n_star, nu), n_star, nu) for n_star, nu in factors]
+    out = [(_block(L, [(n_star, nu)], factors), n_star, nu) for n_star, nu in factors]
     if sum(li.order for li, _, _ in out) != L.order:
         raise VerificationFailed("first decomposition lost order")
     return out
@@ -445,7 +449,11 @@ def verify_decomposition(L: OrePoly, factors, *, witnesses: dict | None = None,
 
 
 def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> DecompositionReport:
-    """The full decomposition pipeline (deterministic under the seed)."""
+    """The full decomposition pipeline (deterministic under the seed): one
+    pass over chi's factors emits the cyclic and central primary blocks,
+    then the residual block, if any, goes through nice_repr, hom_space,
+    pick_iso and propagate.  The report's iso_witness maps D_L* onto the
+    residual block and is None when every block is cyclic or central."""
     if not L:
         raise ZeroOperator("cannot decompose the zero operator")
     rng = random.Random(seed)
@@ -454,75 +462,55 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
     p = field.base.p
 
     if l_mon.order == 0:
-        report = DecompositionReport(
+        return DecompositionReport(
             input=L, monic_input=l_mon,
             charpoly=Poly.one(field), invariants=(), invariant_roots=(),
             factors=(), labels=(), iso_witness=None,
             flags=VerificationFlags(True, True, (), ()) if verify else None,
             degrees=(), seed=seed,
         )
-        return report
 
     data = pcurv_data(l_mon)
-    chain = list(data.invariant_roots)
+    chain = data.invariant_roots
     m = len(chain)
-    list_factor = data.root_factors
-
     collected: list[OrePoly] = []
     labels: list[FactorLabel] = []
     witnesses: dict = {}
-    stripped = set()
-    cur_l = l_mon
-
-    if m == p:
-        for n_star, _ in list_factor:
-            nu_first = _multiplicity(n_star, chain[0])
-            nu_last = _multiplicity(n_star, chain[-1])
-            if nu_first != nu_last:
-                continue
-            nu = nu_last
-            stripped.add(n_star)
-            central = central_operator(n_star, p * nu)
-            cur_l = exact_right_quotient_central(cur_l, central).monic()
-            # equal first and last valuations force nu_N(Q_i) = nu for all i,
-            # so N_* disappears from the whole chain
-            divisor = n_star ** nu
-            new_chain = []
-            for q in chain:
-                quo, rem = q.divmod(divisor)
-                if rem:
-                    raise VerificationFailed("central stripping left a remainder")
-                new_chain.append(quo)
-            chain = new_chain
+    residual = []
+    for n_star, nu in data.root_factors:
+        layers = [_multiplicity(n_star, q) for q in chain[:-1]] + [nu]
+        if not any(layers[:-1]):
+            # only in Q_m: the block is cyclic and indecomposable (an
+            # irreducible symbol would put N_* in p equal layers)
+            collected.append(_block(l_mon, [(n_star, nu)], data.root_factors))
+            labels.append(FactorLabel(n_star, nu, m))
+        elif m == p and layers[0] == nu:
+            # equal in every layer: the block is the central N^nu(D^p)
+            block = _block(l_mon, [(n_star, nu)], data.root_factors)
             if not _verdict(n_star, witnesses).reducible:
-                collected.append(central.monic())
+                collected.append(block)
                 labels.append(FactorLabel(n_star, p * nu, 0))
             else:
                 sub = nice_repr([n_star ** nu] * p, witnesses=witnesses)
-                if sub.l_star != central.monic():
-                    raise VerificationFailed(
-                        "central pieces do not rebuild the central factor"
-                    )
+                if sub.l_star != block:
+                    raise VerificationFailed("central pieces do not rebuild the block")
                 collected.extend(sub.pieces)
                 labels.extend(sub.labels)
+        else:
+            residual.append((n_star, layers))
 
     iso_witness = None
-    if cur_l.order > 0 and all(q.degree == 0 for q in chain[:-1]):
-        # cyclic residual p-curvature: every N_* occurs in Q_m only, so an
-        # irreducible central symbol (whose invariants come in p equal
-        # copies) is impossible and the decomposition is the primary one
-        residual = [(n, nu) for n, nu in list_factor if n not in stripped]
-        if len(residual) == 1:
-            collected.append(cur_l)
-        else:
-            collected.extend(_primary_component(cur_l, n, nu) for n, nu in residual)
-        labels.extend(FactorLabel(n, nu, m) for n, nu in residual)
-    elif cur_l.order > 0:
-        rep = nice_repr(chain, witnesses=witnesses)
-        basis = hom_space(rep.l_star, cur_l)
-        iso_witness = pick_iso(rep.l_star, cur_l, basis, rng)
-        propagated = propagate(cur_l, iso_witness, rep.pieces)
-        collected.extend(propagated)
+    if residual:
+        block = _block(l_mon, [(n, layers[-1]) for n, layers in residual],
+                       data.root_factors)
+        sub_chain = [
+            math.prod((n ** layers[i] for n, layers in residual), start=Poly.one(field))
+            for i in range(m)
+        ]
+        rep = nice_repr(sub_chain, witnesses=witnesses)
+        basis = hom_space(rep.l_star, block)
+        iso_witness = pick_iso(rep.l_star, block, basis, rng)
+        collected.extend(propagate(block, iso_witness, rep.pieces))
         labels.extend(rep.labels)
 
     order = sorted(range(len(collected)), key=lambda k: labels[k].sort_key())

@@ -325,3 +325,56 @@ def test_python_dash_m_runs():
     )
     assert bad.returncode == 6 and "Traceback" not in bad.stderr
     assert json.loads(bad.stderr)["class"] == "ZeroOperator"
+
+
+# -- nesting depth and the installed console script ----------------------------
+
+def test_parentheses_nest_up_to_the_bound():
+    from oredecomp.cli import _MAX_NESTING
+
+    F3 = fq_make(3)
+    R = RatFuncField(F3)
+    deep = "(" * _MAX_NESTING + "D" + ")" * _MAX_NESTING
+    assert parse_operator(deep, F3) == OrePoly.partial(R)
+    deep_y = "(" * _MAX_NESTING + "Y" + ")" * _MAX_NESTING
+    assert parse_ypoly(deep_y, F3) == Poly.x(R)
+    for parse, var in ((parse_operator, "D"), (parse_ypoly, "Y")):
+        text = "(" * (_MAX_NESTING + 1) + var + ")" * (_MAX_NESTING + 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, F3)
+        assert err.value.position == _MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [250, 3000])
+@pytest.mark.parametrize("command,flag,var,extra", [
+    ("gcrd", "--expr", "D", ["--expr", "D"]),
+    ("repr", "--invariants", "Y", []),
+])
+def test_deep_parentheses_exit_2(capsys, depth, command, flag, var, extra):
+    # refused at the first "(" past the bound, before the stack runs out
+    text = "(" * depth + var + ")" * depth
+    assert run([command, "--p", "3", flag, text] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["class"] == "ExprSyntaxError"
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    import importlib
+    import re
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+    target = re.search(r'^oredecomp\s*=\s*"([\w.]+):(\w+)"', scripts.group(1), re.M)
+    module, func = target.groups()
+    entry = getattr(importlib.import_module(module), func)
+    monkeypatch.setattr(sys, "argv", ["oredecomp", "decompose", "--p", "3",
+                                      "--expr", "D^2 - D", "--no-timings"])
+    with pytest.raises(SystemExit) as done:
+        entry()
+    assert done.value.code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True and len(doc["factors"]) == 2

@@ -671,3 +671,50 @@ def test_order_one_input_is_a_cyclic_factor():
     assert report.verified and report.factors == (L,)
     (label,) = report.labels
     assert (label.n_star, label.nu, label.shift) == (report.invariant_roots[-1], 1, 1)
+
+
+# -- one pass over primary blocks ----------------------------------------------
+
+def test_cyclic_block_stays_out_of_the_hom_space(monkeypatch):
+    # D ~ D + 1/t share N_* = Y in layers 1 and 2; D - 1 is a cyclic block,
+    # so only the order-2 residual block meets L*, the hom space and the iso
+    R, t, D, one = _setup(5)
+    L = lclm([D, D + OrePoly.const(R, R.one / t), D - one])
+    homs = _count_calls(monkeypatch, "decomp", "hom_space")
+    report = lclm_decompose(L, seed=0)
+    assert report.verified
+    assert [L_block.order for _, L_block in homs] == [2]
+    x = Poly.x(R)
+    cyclic = [(f, lab) for f, lab in zip(report.factors, report.labels)
+              if lab.n_star != x]
+    assert [(f, lab.nu, lab.shift) for f, lab in cyclic] == [(D - one, 1, 2)]
+
+
+def _irreducible_central(R, t):
+    # N_* = Y - 1/t over GF(3): N^1(D^3) has an irreducible central symbol
+    return central_operator(Poly(R, [-(R.one / t), R.one]), 3)
+
+
+def test_central_block_beside_a_cyclic_one_is_not_divided_out(monkeypatch):
+    R, t, D, one = _setup(3)
+    C = _irreducible_central(R, t)
+    divided = _count_calls(monkeypatch, "ore", "exact_right_quotient_central")
+    homs = _count_calls(monkeypatch, "decomp", "hom_space")
+    report = lclm_decompose(lclm([C, D]), seed=0)
+    assert report.verified and report.iso_witness is None
+    assert report.factors == (D, C.monic())
+    assert divided == [] and homs == []
+
+
+def test_central_block_beside_a_residual_block_keeps_its_output():
+    # a central block beside a residual one: factors and iso witness pinned
+    from oredecomp.cli import parse_operator
+
+    R, t, D, one = _setup(3)
+    C = _irreducible_central(R, t)
+    report = lclm_decompose(lclm([C, D, D + OrePoly.const(R, R.one / t)]), seed=0)
+    F3 = R.base
+    assert report.verified
+    assert report.factors == tuple(parse_operator(e, F3) for e in (
+        "D + (2)/(t^2+2*t)", "D + (t)/(t^2+2)", "D^3 + (2)/(t^3)"))
+    assert report.iso_witness == parse_operator("(t^2+t+1)*D + 2*t+1", F3)

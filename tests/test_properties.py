@@ -1,7 +1,7 @@
 """Property tests (hypothesis, derandomized): parse/serialize round trips,
 the ring laws of GF(q)[t] on both sides of the Kronecker cutoff, the Ore
-commutation and right-division identities, and the companion connection
-against multiply-then-divide."""
+commutation and right-division identities, the companion connection
+against multiply-then-divide, and the soundness of lclm_decompose."""
 
 import itertools
 
@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from oredecomp.algext import make_extension
 from oredecomp.cli import operator_str, parse_operator, parse_ypoly, ypoly_str
-from oredecomp.decomp import propagate
+from oredecomp.decomp import lclm_decompose, propagate
 from oredecomp.fieldkit import _KRONECKER_CUTOFF, Poly, RatFuncField, fq_make
 from oredecomp.ore import (
     OrePoly,
     _partial_times,
     gcrd,
+    lclm,
     mul_mod,
     ore_divrem_right,
     ore_mul,
@@ -211,3 +212,26 @@ def test_propagate_reads_m_modulo_l(data, key):
     Q = data.draw(nonzero_ore_polys(K, 1))
     pieces = data.draw(st.lists(nonzero_ore_polys(K, 2), min_size=1, max_size=2))
     assert propagate(L, M, pieces) == propagate(L, M + ore_mul(Q, L), pieces)
+
+
+# -- decomposition soundness -------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.data(), st.sampled_from([(2, 1), (2, 2), (3, 2)]))
+def test_decomposition_is_sound(data, key):
+    # LCLMs of 2-3 first-order pieces over GF(2), GF(4), GF(9), one pair of
+    # them equivalent: D - a - u'/u = u^-1 (D - a) u
+    R = RATFIELDS[key]
+    D = OrePoly.partial(R)
+    a = data.draw(ratfuncs(R, 1))
+    u = data.draw(polys(R.base, 2))
+    assume(u and u.derivative())
+    shift = R.elem(u.derivative(), u)
+    pieces = [D - OrePoly.const(R, a), D - OrePoly.const(R, a + shift)]
+    pieces += [D - OrePoly.const(R, b) for b in data.draw(st.lists(ratfuncs(R, 1), max_size=1))]
+    L = lclm(pieces)
+    report = lclm_decompose(L, seed=data.draw(st.integers(0, 3)))
+    assert report.verified
+    assert lclm(report.factors) == L.monic()
+    assert sum(f.order for f in report.factors) == L.order
+    assert all(not ore_rem(L, f) for f in report.factors)
