@@ -6,8 +6,9 @@ has no inseparable irreducible factor, the pipeline:
 1. reads the Frobenius invariants P_1 | ... | P_m of the p-curvature and
    their p-th roots Q_1 | ... | Q_m over GF(q)(t);
 2. classifies each irreducible factor N_* of Q_m by its layers nu_N(Q_i);
-   its primary block is GCRD(L, N^nu(D^p)), or L when N_* is chi's only
-   factor;
+   its primary block is GCRD(L, W), W the operator with coordinates
+   N^nu(Psi) e_0 = N^nu(D^p) mod L, read from the p-curvature matrix Psi
+   of step 1's record (L itself when W = 0);
 3. emits a cyclic block (N_* only in Q_m) as it is: its decomposition is
    unique;
 4. emits a central block (m = p, N_* equal in every layer) as it is when its
@@ -49,7 +50,7 @@ from .errors import (
     ZeroOperator,
 )
 from .fieldkit import Poly, RatFuncField
-from .linalg import DependencyFinder, Matrix, kernel_basis
+from .linalg import DependencyFinder, Matrix, kernel_basis, mat_eval_poly
 from .ore import (
     OrePoly,
     gcrd,
@@ -71,6 +72,8 @@ from .pcurv import (
     pcurv_data,
     ratfunc_from_constants,
     separable_factors,
+    ypoly_from_constants,
+    ypoly_pth_power,
 )
 
 
@@ -165,23 +168,31 @@ def check_hypothesis(L: OrePoly):
     return separable_factors(invariants_pth_root(pcurv_charpoly(L)))
 
 
-def _block(L: OrePoly, part, factors) -> OrePoly:
+def _block(L: OrePoly, part, data: PCurvData) -> OrePoly:
     """The right factor of L whose module is the sum of the N_*-primary parts
-    of D_L for (N_*, nu) in part, a sublist of chi's factors: monic L when part
-    holds them all, else GCRD(L, prod N^nu(D^p)), nu >= nu_N(Q_m)."""
-    if len(part) == len(factors):
-        return L.monic()
+    of D_L for (N_*, nu) in part, nu >= nu_N(Q_m): GCRD(L, W), W the
+    operator with coordinates N(Psi) e_0, where Psi = data.matrix is the
+    p-curvature of L read from the run's record and N(Y^p) = prod N_*^(p nu).
+    D^p is central and N's coefficients lie in GF(q)(t^p), so N(Psi) e_0 =
+    N(D^p) mod L, of order < ord L.  W = 0 (part holds every factor) gives
+    monic L."""
     root = math.prod((n_star ** nu for n_star, nu in part), start=Poly.one(L.field))
-    return gcrd(L, central_operator(root, L.field.base.p))
+    n_psi = mat_eval_poly(ypoly_from_constants(ypoly_pth_power(root)), data.matrix)
+    w = OrePoly(L.field, [row[0] for row in n_psi.rows])
+    return gcrd(L, w) if w else L.monic()
 
 
 def first_decomposition(L: OrePoly):
     """Split L along the distinct irreducible factors of chi into its
-    primary blocks L_i = GCRD(L, N_i^nu_i(D^p)).  Returns [(L_i, N_i_star,
-    nu_i)], nu_i the multiplicity of N_i_star in chi's p-th root, with the
-    orders of the L_i summing to ord L."""
-    factors = check_hypothesis(L)
-    out = [(_block(L, [(n_star, nu)], factors), n_star, nu) for n_star, nu in factors]
+    primary blocks L_i = GCRD(L, N_i^nu_i(D^p)), read from one p-curvature
+    record.  Returns [(L_i, N_i_star, nu_i)], nu_i the multiplicity of
+    N_i_star in chi's p-th root, with the orders of the L_i summing to
+    ord L."""
+    if not L:
+        raise ZeroOperator("first decomposition of the zero operator")
+    data = pcurv_data(L)
+    factors = separable_factors(invariants_pth_root(data.charpoly))
+    out = [(_block(L, [(n_star, nu)], data), n_star, nu) for n_star, nu in factors]
     if sum(li.order for li, _, _ in out) != L.order:
         raise VerificationFailed("first decomposition lost order")
     return out
@@ -266,14 +277,18 @@ def nice_repr(request, witnesses: dict | None = None) -> NiceRepr:
     for a, b in zip(chain, chain[1:]):
         if a.degree > 0 and b.divmod(a)[1]:
             raise EmptyRequest("chain entries must form a divisibility chain")
-    if witnesses is None:
-        witnesses = {}
+    return _nice_repr(chain, separable_factors(chain[-1]),
+                      {} if witnesses is None else witnesses)
 
-    q_m = chain[-1]
+
+def _nice_repr(chain, factors, witnesses: dict) -> NiceRepr:
+    """nice_repr on a valid chain whose last entry factors as ``factors``,
+    [(N_*, nu)]: the pipeline passes the factors it already holds."""
+    ratfield = chain[0].field
     pieces = []
     labels = []
     t_rf = ratfield.t
-    for n_star, _ in separable_factors(q_m):
+    for n_star, _ in factors:
         verdict = _verdict(n_star, witnesses)
         if not verdict.reducible:
             raise CentralIrreducibleFactor(
@@ -482,16 +497,16 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
         if not any(layers[:-1]):
             # only in Q_m: the block is cyclic and indecomposable (an
             # irreducible symbol would put N_* in p equal layers)
-            collected.append(_block(l_mon, [(n_star, nu)], data.root_factors))
+            collected.append(_block(l_mon, [(n_star, nu)], data))
             labels.append(FactorLabel(n_star, nu, m))
         elif m == p and layers[0] == nu:
             # equal in every layer: the block is the central N^nu(D^p)
-            block = _block(l_mon, [(n_star, nu)], data.root_factors)
+            block = _block(l_mon, [(n_star, nu)], data)
             if not _verdict(n_star, witnesses).reducible:
                 collected.append(block)
                 labels.append(FactorLabel(n_star, p * nu, 0))
             else:
-                sub = nice_repr([n_star ** nu] * p, witnesses=witnesses)
+                sub = _nice_repr([n_star ** nu] * p, [(n_star, nu)], witnesses)
                 if sub.l_star != block:
                     raise VerificationFailed("central pieces do not rebuild the block")
                 collected.extend(sub.pieces)
@@ -501,13 +516,13 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
 
     iso_witness = None
     if residual:
-        block = _block(l_mon, [(n, layers[-1]) for n, layers in residual],
-                       data.root_factors)
+        part = [(n, layers[-1]) for n, layers in residual]
+        block = _block(l_mon, part, data)
         sub_chain = [
             math.prod((n ** layers[i] for n, layers in residual), start=Poly.one(field))
             for i in range(m)
         ]
-        rep = nice_repr(sub_chain, witnesses=witnesses)
+        rep = _nice_repr(sub_chain, part, witnesses)
         basis = hom_space(rep.l_star, block)
         iso_witness = pick_iso(rep.l_star, block, basis, rng)
         collected.extend(propagate(block, iso_witness, rep.pieces))

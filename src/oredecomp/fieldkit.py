@@ -805,10 +805,10 @@ def common_denominator(values):
     values[i] = nums[i] / den; a zero value gives a zero numerator."""
     values = list(values)
     den = Poly.one(values[0].field.base)
-    for c in values:
-        if c.den.degree > 0:
-            den = poly_lcm(den, c.den)
-    return den, [c.num * (den // c.den) for c in values]
+    for d in {c.den for c in values if c.den.degree > 0}:  # any order: one monic lcm
+        den = poly_lcm(den, d)
+    cofactors = {d: den // d for d in {c.den for c in values}}
+    return den, [c.num * cofactors[c.den] for c in values]
 
 
 def poly_pth_root(f: Poly) -> Poly | None:

@@ -4,7 +4,8 @@ Works uniformly over GF(q), GF(q)(t), GF(q)(s) and algebraic extensions
 K = GF(q)(t)[a]: the only requirements on the field object are ``zero``,
 ``one``, ``from_int`` and elements with exact operator overloads.
 
-Provides reduced row echelon form, kernels, linear solving, the Berkowitz
+Provides reduced row echelon form, kernels (over GF(q)(t) by fraction-free
+elimination on polynomial entries), linear solving, the Berkowitz
 (division-free) characteristic polynomial, and invariant factors through the
 Smith normal form of Y*I - A over the polynomial ring.
 """
@@ -12,7 +13,7 @@ Smith normal form of Y*I - A over the polynomial ring.
 from __future__ import annotations
 
 from .errors import NotSquare, VerificationFailed
-from .fieldkit import Poly, RatFunc, RatFuncField, common_denominator
+from .fieldkit import Poly, RatFunc, RatFuncField, common_denominator, poly_gcd
 
 
 class Matrix:
@@ -129,8 +130,11 @@ def kernel_basis(M: Matrix):
 
     Each basis vector carries a 1 at one free column and the negated reduced
     entries at the pivot columns; vectors are ordered by their free column.
+    Over GF(q)(t) the same vectors come from fraction-free elimination.
     """
     field = M.field
+    if isinstance(field, RatFuncField) and M.nrows and M.ncols:
+        return _kernel_over_ratfuncs(M)
     rows, pivots = rref(M)
     pivot_set = set(pivots)
     basis = []
@@ -141,6 +145,77 @@ def kernel_basis(M: Matrix):
         v[free] = field.one
         for r, pc in zip(rows, pivots):
             v[pc] = -r[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _kernel_over_ratfuncs(M: Matrix):
+    """kernel_basis over GF(q)(t) without rational-function elimination.
+
+    Column j is put over its common denominator d_j, so M = P diag(d)^-1 with
+    P over GF(q)[t] and ker M = diag(d) ker P.  Polynomial row operations
+    bring P to row echelon form; each pivot is a nonzero entry of least
+    degree, and each updated row is divided by the gcd of its entries, which
+    keeps degrees small.  The pivot columns are those of the reduced form.
+    For each free column f, polynomial back substitution gives z / delta in
+    ker P with z_f = delta and zeros at the other free columns; x_j =
+    d_j z_j / (d_f z_f) is kernel_basis's vector for f."""
+    field = M.field
+    dens, cols = zip(*(common_denominator([row[j] for row in M.rows])
+                       for j in range(M.ncols)))
+    rows = [list(r) for r in zip(*cols)]
+    pivots = []
+    for col in range(M.ncols):
+        rank = len(pivots)
+        live = [i for i in range(rank, M.nrows) if rows[i][col]]
+        if not live:
+            continue
+        k = min(live, key=lambda i: rows[i][col].degree)
+        rows[rank], rows[k] = rows[k], rows[rank]
+        top = rows[rank]
+        piv = top[col]
+        for i in range(rank + 1, M.nrows):
+            c = rows[i][col]
+            if not c:
+                continue
+            g = poly_gcd(piv, c)
+            a, b = piv // g, c // g
+            new = [a * x - b * y for x, y in zip(rows[i], top)]
+            content = Poly.zero(field.base)
+            for x in new:
+                if x:
+                    content = poly_gcd(content, x)
+                    if content.degree == 0:
+                        break
+            rows[i] = [x // content for x in new] if content.degree > 0 else new
+        pivots.append(col)
+        if len(pivots) == M.nrows:
+            break
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(M.ncols):
+        if free in pivot_set:
+            continue
+        z = {free: Poly.one(field.base)}
+        for row, pc in reversed(list(zip(rows, pivots))):
+            acc = Poly.zero(field.base)
+            for j, zj in z.items():
+                if row[j]:
+                    acc = acc + row[j] * zj
+            if acc:
+                # row[pc] y_pc = -acc / delta: delta takes the monic part
+                # of row[pc] / gcd(acc, row[pc]), z_pc the rest
+                g = poly_gcd(acc, row[pc])
+                m = row[pc] // g
+                inv = m.lc.inv()
+                if m.degree > 0:
+                    m = m.scale(inv)
+                    z = {j: zj * m for j, zj in z.items()}
+                z[pc] = -(acc // g).scale(inv)
+        v = [field.zero] * M.ncols
+        den = dens[free] * z[free]
+        for j, zj in z.items():
+            v[j] = RatFunc.make(field, dens[j] * zj, den)
         basis.append(tuple(v))
     return basis
 

@@ -197,8 +197,7 @@ def frobenius_invariants(L: OrePoly) -> list[Poly]:
     """The nontrivial invariant factors P_1 | ... | P_m of the p-curvature,
     over GF(q)(s); the invariant factors are insensitive to the base-field
     extension from GF(q)(t^p) to GF(q)(t)."""
-    M = pcurvature_matrix(L)
-    return _invariants_over_constants(M, _charpoly_over_constants(M))
+    return pcurv_data(L).invariants
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import itertools
 
 from oredecomp.fieldkit import Poly, fq_make
+from oredecomp.linalg import rref
 from oredecomp.ore import OrePoly
 
 
@@ -110,3 +111,20 @@ def pcurvature_matrix_by_steps(L):
         if k >= p:
             cols.append([cur.coeff(i) for i in range(r)])
     return Matrix(field, list(zip(*cols)))
+
+
+def kernel_basis_by_rref(M):
+    """kernel_basis read off the reduced row echelon form: the oracle for the
+    fraction-free path over GF(q)(t)."""
+    field = M.field
+    rows, pivots = rref(M)
+    basis = []
+    for free in range(M.ncols):
+        if free in pivots:
+            continue
+        v = [field.zero] * M.ncols
+        v[free] = field.one
+        for r, pc in zip(rows, pivots):
+            v[pc] = -r[free]
+        basis.append(tuple(v))
+    return basis

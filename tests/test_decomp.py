@@ -718,3 +718,39 @@ def test_central_block_beside_a_residual_block_keeps_its_output():
     assert report.factors == tuple(parse_operator(e, F3) for e in (
         "D + (2)/(t^2+2*t)", "D + (t)/(t^2+2)", "D^3 + (2)/(t^3)"))
     assert report.iso_witness == parse_operator("(t^2+t+1)*D + 2*t+1", F3)
+
+
+# -- primary blocks from the p-curvature record --------------------------------
+
+def test_residual_block_factors_chi_root_once(monkeypatch):
+    # nice_repr's chain for the residual block is built from factors the run
+    # already holds, so chi's root is factored once (PCurvData.root_factors)
+    R, t, D, one = _setup(5)
+    L = lclm([D, D + OrePoly.const(R, R.one / t), D - one])
+    factored = _count_calls(monkeypatch, "yfactor", "factor_monic_in_y")
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.iso_witness is not None
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 2)])
+def test_blocks_never_divide_an_operator_longer_than_l(monkeypatch, p, n):
+    # a block is GCRD(L, W) with W = N(Psi) e_0 of order < ord L, read from
+    # the p-curvature record instead of the order-p central operator
+    import oredecomp.decomp as decomp_mod
+
+    R, t, D, one = _setup(p, n)
+    L = lclm([D - OrePoly.const(R, R.one / t), D - OrePoly.const(R, t)])
+    operands = []
+
+    def recording(A, B):
+        operands.append((A.order, B.order))
+        return gcrd(A, B)
+
+    monkeypatch.setattr(decomp_mod, "gcrd", recording)
+    parts = first_decomposition(L)
+    assert sorted(li.order for li, _, _ in parts) == [1, 1]
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and len(report.factors) == 2
+    assert operands
+    assert all(max(pair) <= L.order and min(pair) < L.order for pair in operands)

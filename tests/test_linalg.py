@@ -14,7 +14,7 @@ from oredecomp.linalg import (
     solve,
 )
 
-from helpers import char_poly_by_leibniz, rand_ratfunc
+from helpers import char_poly_by_leibniz, kernel_basis_by_rref, rand_ratfunc
 
 
 def _fq_matrix(field, rows):
@@ -61,6 +61,31 @@ def test_kernel_vectors_annihilate_and_rank_nullity():
             for v in basis:
                 assert all(not e for e in M * v)
             assert rank(M) + len(basis) == nc
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_kernel_over_ratfuncs_matches_rref(p, n):
+    # every rank from 0 to full (M = A B with an inner size k), zero rows
+    # and columns, 1-6 rows and columns: the fraction-free kernel over
+    # GF(q)(t) equals the one read off the reduced echelon form
+    rng = random.Random(100 * p + n)
+    R = RatFuncField(fq_make(p, n))
+    for _ in range(25):
+        nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
+        k = rng.randrange(0, min(nr, nc) + 1)
+        if k:
+            A = Matrix(R, [[rand_ratfunc(R, rng, 1, 1) for _ in range(k)] for _ in range(nr)])
+            B = Matrix(R, [[rand_ratfunc(R, rng, 1, 1) for _ in range(nc)] for _ in range(k)])
+            rows = [list(r) for r in (A * B).rows]
+        else:
+            rows = [[R.zero] * nc for _ in range(nr)]
+        if rng.random() < 0.3:
+            for r in rows:
+                r[rng.randrange(nc)] = R.zero
+        M = Matrix(R, rows)
+        basis = kernel_basis(M)
+        assert basis == kernel_basis_by_rref(M)
+        assert len(basis) == nc - rank(M)
 
 
 def test_solve_consistent_and_inconsistent():

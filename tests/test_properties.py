@@ -1,7 +1,9 @@
 """Property tests (hypothesis, derandomized): parse/serialize round trips,
 the ring laws of GF(q)[t] on both sides of the Kronecker cutoff, the Ore
 commutation and right-division identities, the companion connection
-against multiply-then-divide, and the soundness of lclm_decompose."""
+against multiply-then-divide, the primary blocks read from the p-curvature
+record against the GCRD with the central operator, and the soundness of
+lclm_decompose."""
 
 import itertools
 
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from oredecomp.algext import make_extension
 from oredecomp.cli import operator_str, parse_operator, parse_ypoly, ypoly_str
-from oredecomp.decomp import lclm_decompose, propagate
+from oredecomp.decomp import _block, check_hypothesis, lclm_decompose, propagate
+from oredecomp.errors import InseparableFactor
 from oredecomp.fieldkit import _KRONECKER_CUTOFF, Poly, RatFuncField, fq_make
 from oredecomp.ore import (
     OrePoly,
@@ -23,6 +26,7 @@ from oredecomp.ore import (
     ore_rem,
     times_d_mod,
 )
+from oredecomp.pcurv import central_operator, pcurv_data
 
 # GF(2), GF(3), GF(4), GF(9), GF(17)
 FIELDS = {pn: fq_make(*pn) for pn in [(2, 1), (3, 1), (2, 2), (3, 2), (17, 1)]}
@@ -235,3 +239,42 @@ def test_decomposition_is_sound(data, key):
     assert lclm(report.factors) == L.monic()
     assert sum(f.order for f in report.factors) == L.order
     assert all(not ore_rem(L, f) for f in report.factors)
+
+
+# -- primary blocks --------------------------------------------------------------
+
+# GF(2), GF(3), GF(4), GF(5), GF(9)
+BLOCK_FIELDS = [RATFIELDS[(2, 1)], RATFIELDS[(3, 1)], RATFIELDS[(2, 2)],
+                RatFuncField(fq_make(5, 1)), RATFIELDS[(3, 2)]]
+
+
+def monic_operators(R, order):
+    coeff = st.one_of(st.just(R.zero), nonzero_ratfuncs(R))
+    return st.lists(coeff, min_size=order, max_size=order).map(
+        lambda cs: OrePoly(R, cs + [R.one]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data(), st.sampled_from(range(len(BLOCK_FIELDS))))
+def test_block_matches_gcrd_with_central_operator(data, key):
+    # the block read from the record, GCRD(L, N(Psi) e_0), against the GCRD
+    # with the order-(p deg N) central operator N(D^p) itself; L of order 2-4
+    # is one random operator or a product of several (chi is multiplicative,
+    # so products give chi several factors)
+    R = BLOCK_FIELDS[key]
+    L = OrePoly.one(R)
+    total = data.draw(st.integers(2, 4))
+    while L.order < total:
+        order = data.draw(st.integers(1, total - L.order))
+        L = ore_mul(L, data.draw(monic_operators(R, order)))
+    try:
+        factors = check_hypothesis(L)
+    except InseparableFactor:
+        assume(False)
+    chosen = data.draw(st.sets(st.sampled_from(range(len(factors))), min_size=1))
+    part = [(factors[i][0], data.draw(st.integers(1, factors[i][1])))
+            for i in sorted(chosen)]
+    root = Poly.one(R)
+    for n_star, nu in part:
+        root = root * n_star ** nu
+    assert _block(L, part, pcurv_data(L)) == gcrd(L, central_operator(root, R.base.p))
