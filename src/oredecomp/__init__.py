@@ -60,6 +60,15 @@ from .decomp import (
     propagate,
     verify_decomposition,
 )
-from .cli import parse_operator, parse_ypoly
+
+
+def __getattr__(name):
+    # cli (the parsers, the serializer and the subcommands) is imported on
+    # first use of its two re-exports, so the library alone does not load it
+    if name in ("parse_operator", "parse_ypoly"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

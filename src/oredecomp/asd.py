@@ -2,6 +2,12 @@
 separable extension K = GF(q)(t)[a], and the reducibility test for the
 central operator attached to the extension's defining polynomial.
 
+For a degree-1 N = Y - a the test is a decision: the symbol is reducible
+iff Tr_{k(P)/GF(p)} Res_P(a dt) vanishes at every place P (Schmid's formula
+and the Hasse principle; by the residue theorem the finite poles of a
+suffice), and the residues come from partial fractions.  A solution f then
+exists, and the ansatz below only finds it.
+
 The map phi(f) = f^(p-1) + f^p is GF(p)-linear (both the iterated derivative
 and the Frobenius are), so solutions are found by a bounded-ansatz linear
 solve over GF(p): the unknown is written over monomials
@@ -10,9 +16,9 @@ cap supplied by a pole analysis of the extension data.  On failure, the
 bounds are doubled up to four times before reporting no solution.
 
 A solution f certifies that (D - f) right-divides D^p - a^p, i.e. that the
-central operator attached to the extension is reducible; the absence of a
-bounded solution at the escalation cap is reported together with the bound
-used.
+central operator attached to the extension is reducible.  For deg N >= 2
+the absence of a bounded solution is reported as an uncertified
+"irreducible", together with the bound used.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algext import ExtElem, ExtField, make_extension
-from .errors import Inseparable
-from .fieldkit import Poly, common_denominator, fq_make, poly_factor_fq
+from .errors import Inseparable, RetryExhausted
+from .fieldkit import Poly, RatFunc, common_denominator, fq_make, poly_factor_fq, poly_xgcd
 from .linalg import Matrix, solve
 from .ore import OrePoly, ore_divrem_right
 
@@ -196,21 +202,53 @@ def _try_bound(ext: ExtField, target: ExtElem, bound: PoleBound):
     return f
 
 
+def _residue_traces_vanish(a: RatFunc) -> bool:
+    """Whether Tr_{k(P)/GF(p)} Res_P(a dt) is 0 at every pole P of a.
+
+    At a pole P of order k, a = X/P^k + (terms regular at P) with
+    X = num (den/P^k)^(-1) mod P^k.  B = X // P^(k-1) is the numerator of
+    its 1/P term, and Tr_{k(P)/GF(q)} Res_P is B's t^(deg P - 1)
+    coefficient; a term B_j/P^j with j >= 2 has residue trace 0."""
+    for place, k in poly_factor_fq(a.den):
+        pk = place ** k
+        _, inv, _ = poly_xgcd(a.den // pk, pk)
+        res = ((a.num * inv) % pk // place ** (k - 1)).coeff(place.degree - 1)
+        tr = res
+        for _ in range(res.field.n - 1):
+            res = res.frobenius()
+            tr = tr + res
+        if tr:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ReducibilityVerdict:
     reducible: bool
     witness: ASDSolution | None
-    bound_used: PoleBound
+    bound_used: PoleBound | None  # None when no ansatz ran
+    certified: bool
 
 
 def central_operator_reducible(n_star: Poly) -> ReducibilityVerdict:
     """Decide whether the central operator attached to a monic irreducible
     separable N over GF(q)(t) is reducible; the witness f satisfies
-    (D - f) | (D^p - a^p) in K<D>."""
+    (D - f) | (D^p - a^p) in K<D>.
+
+    A degree-1 N is decided by its residue traces, with no ansatz when they
+    show it irreducible; when they show it reducible and the ansatz finds no
+    witness, RetryExhausted is raised.  For deg N >= 2 an ansatz without a
+    solution gives an uncertified "irreducible".  A "reducible" verdict
+    always carries a checked witness and is certified."""
+    if n_star.degree == 1 and not _residue_traces_vanish(-n_star.coeff(0)):
+        return ReducibilityVerdict(False, None, None, certified=True)
     ext = make_extension(n_star)
     result = asd_solve(ext)
     if isinstance(result, NoSolution):
-        return ReducibilityVerdict(False, None, result.bound_used)
+        if n_star.degree == 1:
+            raise RetryExhausted("no Artin-Schreier witness within the ansatz "
+                                 "bound for a reducible degree-1 symbol")
+        return ReducibilityVerdict(False, None, result.bound_used, certified=False)
     p = ext.ratfield.base.p
     y = ext.gen.pth_power()
     dp_minus_y = OrePoly(ext, [-y] + [ext.zero] * (p - 1) + [ext.one])
@@ -218,4 +256,4 @@ def central_operator_reducible(n_star: Poly) -> ReducibilityVerdict:
     _, rem = ore_divrem_right(dp_minus_y, d_minus_f)
     if rem:
         raise AssertionError("Artin-Schreier witness fails the divisibility check")
-    return ReducibilityVerdict(True, result, result.bound_used)
+    return ReducibilityVerdict(True, result, result.bound_used, certified=True)

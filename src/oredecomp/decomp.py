@@ -390,6 +390,11 @@ def propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
     the factors of L are GCRD(L, L*_i M mod L), monic."""
     if gcrd(m_op, L).order != 0:
         raise NotCoprime("isomorphism witness is not coprime with L")
+    return _propagate(L, m_op, pieces)
+
+
+def _propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
+    """propagate for an M that pick_iso has already found coprime with L."""
     m_vec = ore_rem(m_op, L).coeffs
     out = []
     for piece in pieces:
@@ -525,7 +530,7 @@ def lclm_decompose(L: OrePoly, seed: int = 0, verify: bool = True) -> Decomposit
         rep = _nice_repr(sub_chain, part, witnesses)
         basis = hom_space(rep.l_star, block)
         iso_witness = pick_iso(rep.l_star, block, basis, rng)
-        collected.extend(propagate(block, iso_witness, rep.pieces))
+        collected.extend(_propagate(block, iso_witness, rep.pieces))
         labels.extend(rep.labels)
 
     order = sorted(range(len(collected)), key=lambda k: labels[k].sort_key())

@@ -11,7 +11,8 @@ from oredecomp.asd import (
     asd_solve,
     central_operator_reducible,
 )
-from oredecomp.errors import Inseparable
+from oredecomp import asd as asd_mod
+from oredecomp.errors import Inseparable, RetryExhausted
 from oredecomp.fieldkit import Poly, RatFunc, RatFuncField, fq_make
 from oredecomp.ore import OrePoly, ore_rem
 
@@ -166,6 +167,15 @@ def test_no_solution_matches_bounded_brute_force():
             else:
                 f = result.f.coords[0]
                 assert _phi(f, 3) == a ** 3
+            # the residue decision: a certified "irreducible" has no
+            # brute-force witness, a "reducible" carries a checked one
+            verdict = central_operator_reducible(Poly(R, [-a, R.one]))
+            assert verdict.certified
+            assert verdict.reducible == isinstance(result, ASDSolution), a
+            if verdict.reducible:
+                assert _phi(verdict.witness.f.coords[0], 3) == a ** 3
+            else:
+                assert brute is None and verdict.witness is None
     assert checked_mismatch > 0  # the negative branch was exercised
 
 
@@ -175,3 +185,116 @@ def test_no_solution_example_reports_bound():
     result = asd_solve(_trivial_ext(R, R.one / t))
     assert isinstance(result, NoSolution)
     assert result.bound_used.num_degree_cap >= 16 * 6  # four doublings
+
+
+# -- the residue decision for degree-1 symbols ----------------------------------
+
+def _agreement_cases(p, n):
+    # derandomized a = num/den with simple and double poles, and a place of
+    # degree 2 (t^2 + t + 1, t^2 + 1, t^2 + t + g over GF(2), GF(3), GF(4))
+    F = fq_make(p, n)
+    R = RatFuncField(F)
+    x, one = Poly.x(F), Poly.one(F)
+    place2 = {(2, 1): x * x + x + one, (3, 1): x * x + one,
+              (2, 2): x * x + x + Poly.const(F, F.gen())}[(p, n)]
+    dens = [x * x, x * (x + one), place2, x * x * (x + one)]
+    rng = random.Random(31 * p + n)
+    cases = []
+    for den in dens:
+        num = Poly(F, [F.random(rng) for _ in range(den.degree + 1)])
+        if num:
+            cases.append(RatFunc.make(R, num, den))
+    return R, cases
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+def test_residue_decision_agrees_with_the_ansatz(p, n):
+    R, cases = _agreement_cases(p, n)
+    verdicts = set()
+    for a in cases:
+        n_star = Poly(R, [-a, R.one])
+        verdict = central_operator_reducible(n_star)
+        solved = asd_solve(make_extension(n_star))
+        assert verdict.certified
+        assert verdict.reducible == isinstance(solved, ASDSolution), a
+        verdicts.add(verdict.reducible)
+    assert verdicts == {True, False}
+
+
+def test_residues_divide_by_the_other_poles():
+    # the 1/t coefficient of a's partial fraction at t is taken after
+    # dividing by den / t^k modulo t^k; these symbols are reducible
+    F3 = fq_make(3)
+    R3 = RatFuncField(F3)
+    t, one = R3.t, R3.one
+    F4 = fq_make(2, 2)
+    R4 = RatFuncField(F4)
+    s, g = R4.t, R4.from_base(F4.gen())
+    for a in ((t + t + one) / (t * t * (t + one) ** 2),
+              (s * s + g * s + g) / (s * s * (s + R4.one))):
+        verdict = central_operator_reducible(Poly(a.field, [-a, a.field.one]))
+        assert verdict.reducible and verdict.certified
+        f = verdict.witness.f
+        assert _phi_ext(f, a.field.base.p) == f.field.gen.pth_power()
+
+
+def test_irreducible_degree_one_symbol_runs_no_ansatz(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the ansatz ran on an irreducible degree-1 symbol")
+
+    monkeypatch.setattr(asd_mod, "_try_bound", forbidden)
+    F3 = fq_make(3)
+    R = RatFuncField(F3)
+    t = R.t
+    # 1/t, and a central-workload c = alpha + rho/(t - t0)
+    c = R.from_int(2) + R.from_int(2) / (t - R.one)
+    for a in (R.one / t, c):
+        verdict = central_operator_reducible(Poly(R, [-a, R.one]))
+        assert not verdict.reducible and verdict.certified
+        assert verdict.witness is None and verdict.bound_used is None
+
+
+def test_reducible_degree_one_symbol_without_witness_raises(monkeypatch):
+    monkeypatch.setattr(asd_mod, "asd_solve", lambda ext: NoSolution(bound_used=None))
+    R = RatFuncField(fq_make(3))
+    with pytest.raises(RetryExhausted):
+        central_operator_reducible(ypoly(R, -R.t, 1))
+
+
+def test_residue_trace_over_gf27_is_zero():
+    # Res_0(dt/t) = 1, and Tr_{GF(27)/GF(3)}(1) = 3 = 0
+    R = RatFuncField(fq_make(3, 3))
+    verdict = central_operator_reducible(Poly(R, [-(R.one / R.t), R.one]))
+    assert verdict.reducible and verdict.certified
+    f = verdict.witness.f
+    assert _phi_ext(f, 3) == f.field.gen.pth_power()
+
+
+def _quadratic_reproducers():
+    # symbols whose witness needs a pole outside asd_pole_bound's support
+    R3 = RatFuncField(fq_make(3))
+    t, one = R3.t, R3.one
+    yield Poly(R3, [(t ** 3 + one) / (t + R3.from_int(2)), one, one])
+    F4 = fq_make(2, 2)
+    R4 = RatFuncField(F4)
+    t, one, g = R4.t, R4.one, R4.from_base(F4.gen())
+    yield Poly(R4, [(g * t * t + (g + one) * t + (g + one)) / (t * t + (g + one) * t),
+                    one, one])
+
+
+def test_degree_two_ansatz_verdicts_are_uncertified(monkeypatch):
+    # Y^2 + Y + 1/t over GF(2): the ansatz finds no witness (0.5 s)
+    R2 = RatFuncField(fq_make(2))
+    verdict = central_operator_reducible(Poly(R2, [R2.one / R2.t, R2.one, R2.one]))
+    assert not verdict.reducible and verdict.certified is False
+    assert verdict.bound_used is not None
+    # Y^2 - t over GF(3) has a witness, which certifies "reducible"
+    R3 = RatFuncField(fq_make(3))
+    verdict = central_operator_reducible(Poly(R3, [-R3.t, R3.zero, R3.one]))
+    assert verdict.reducible and verdict.certified
+    # the reproducers' full ansatz takes 20-35 s; with no bounded solution
+    # their "irreducible" is flagged uncertified
+    monkeypatch.setattr(asd_mod, "_try_bound", lambda ext, target, bound: None)
+    for n_star in _quadratic_reproducers():
+        verdict = central_operator_reducible(n_star)
+        assert not verdict.reducible and verdict.certified is False

@@ -327,6 +327,33 @@ def test_python_dash_m_runs():
     assert json.loads(bad.stderr)["class"] == "ZeroOperator"
 
 
+def test_package_import_leaves_cli_unloaded():
+    # the library modules load without cli; the package re-exports its two
+    # parsers on first use (PEP 562)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "\n".join([
+        "import importlib, sys",
+        "import oredecomp",
+        "for m in ('fieldkit', 'ore', 'pcurv', 'decomp', 'serialize'):",
+        "    importlib.import_module('oredecomp.' + m)",
+        "assert 'oredecomp.cli' not in sys.modules",
+        "from oredecomp import parse_ypoly",
+        "from oredecomp import cli",
+        "assert oredecomp.parse_operator is cli.parse_operator",
+        "assert parse_ypoly is cli.parse_ypoly",
+        "try:",
+        "    oredecomp.no_such_name",
+        "except AttributeError:",
+        "    print('ok')",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
 # -- nesting depth and the installed console script ----------------------------
 
 def test_parentheses_nest_up_to_the_bound():

@@ -232,6 +232,26 @@ def test_pick_iso_and_propagate_identity():
         propagate(L, rep.pieces[0], rep.pieces)
 
 
+def test_pipeline_checks_the_iso_witness_once(monkeypatch):
+    # lclm([D, D + 1/t]) over GF(5) is one residual block (D + 1/t is
+    # equivalent to D): pick_iso's coprimality check is the only
+    # gcrd(M, block) call for the witness M it returns
+    import oredecomp.decomp as decomp_mod
+
+    R, t, D, one = _setup(5)
+    L = lclm([D, D + OrePoly.const(R, R.one / t)])
+    calls = []
+
+    def recording(A, B):
+        calls.append((A, B))
+        return gcrd(A, B)
+
+    monkeypatch.setattr(decomp_mod, "gcrd", recording)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and report.iso_witness is not None
+    assert sum(A == report.iso_witness for A, _ in calls) == 1
+
+
 def test_propagate_through_pipeline():
     R, t, D, one = _setup()
     L = ore_pow(D, 2) - D
