@@ -10,7 +10,9 @@ reduces through the commutation rule:
     factor := base ("^" uint)?
     base   := "D" | "t" | "g" | uint | "(" expr ")"
 
-"/" requires an order-0 right operand; "^" takes a nonnegative integer;
+"/" requires an order-0 right operand; "^" takes a nonnegative integer,
+and a power whose result would have degree in D (or Y) above _MAX_POWER_DEGREE
+or a coefficient of t-degree above _MAX_POWER_T_DEGREE is refused;
 juxtaposition is not multiplication; parentheses nest at most _MAX_NESTING
 deep.  Invariant chains use the same grammar with "Y" in place of "D" (and
 commutative multiplication).
@@ -18,12 +20,16 @@ commutative multiplication).
 Serialized values (operators, polynomials in Y, rational functions) re-parse
 to equal objects; constants of GF(q)(t^p) are printed in t^p form, never
 through an explicit second variable.
+
+A report that cannot be written to stdout (a full device, a closed pipe) ends
+like every other error: one JSON line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -60,6 +66,12 @@ _SYMBOLS = ("D", "t", "g", "Y")
 # each "(" costs the recursive-descent parser four stack frames, so this bound
 # keeps a parse well inside Python's default recursion limit of 1000
 _MAX_NESTING = 100
+
+# a^e is refused when its result would exceed these sizes (degree in D or Y,
+# and t-degree of a coefficient's numerator or denominator), estimated as e
+# times the size of a; they refuse absurd inputs, not slow ones
+_MAX_POWER_DEGREE = 1024
+_MAX_POWER_T_DEGREE = 65536
 
 
 def _tokenize(text: str):
@@ -147,11 +159,20 @@ class _Parser:
     def factor(self):
         value = self.base()
         if self.peek()[0] == "^":
-            self.next()
+            pos = self.next()[2]
             tok = self.next()
             if tok[0] != "uint":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", tok[2])
-            value = self.algebra.pow(value, tok[1])
+            e = tok[1]
+            t_degree = max((max(c.num.degree, c.den.degree) for c in value.coeffs),
+                           default=0)
+            if (e * (len(value.coeffs) - 1) > _MAX_POWER_DEGREE
+                    or e * t_degree > _MAX_POWER_T_DEGREE):
+                raise ExprSyntaxError(
+                    "power too large: the result would exceed degree %d in %s "
+                    "or %d in t" % (_MAX_POWER_DEGREE, self.algebra.var,
+                                    _MAX_POWER_T_DEGREE), pos)
+            value = self.algebra.pow(value, e)
         return value
 
     def base(self):
@@ -488,7 +509,13 @@ def run(argv) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             return _error_exit(exc)
-    print(text)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit, which must not raise
+        sys.stdout = open(os.devnull, "w")
+        return _error_exit(exc)
     return 0
 
 

@@ -7,9 +7,11 @@ Representation conventions used throughout the package:
 * GF(p) residues are plain ints in ``range(p)``.
 * An element of F_q = GF(p^n) is a length-n coordinate tuple in the power
   basis 1, g, ..., g^(n-1) of the generator g (the class of Y modulo the
-  field's defining polynomial).
+  field's defining polynomial, which distinct-degree factorisation over
+  GF(p) checks to be irreducible).
 * Polynomials are dense coefficient tuples, constant term first, with no
-  trailing zeros; the zero polynomial is the empty tuple.
+  trailing zeros; the zero polynomial is the empty tuple.  That container
+  (``CoeffSeq``) is also the one of the operators in ``ore.OrePoly``.
 * Rational functions are fully reduced fractions with a monic denominator;
   zero is 0/1.
 
@@ -203,52 +205,6 @@ def _gfp_gcd(a, b, p):
         inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
     return a
-
-
-def _gfp_pow_mod(a, e, m, p):
-    result = [1]
-    base = _gfp_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _gfp_divmod(_gfp_mul(result, base, p), m, p)[1]
-        base = _gfp_divmod(_gfp_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return result
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _gfp_irreducible(f, p):
-    """Rabin irreducibility test for f over GF(p)."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    h = x
-    for _ in range(n):
-        h = _gfp_pow_mod(h, p, f, p)
-    if _gfp_sub(h, _gfp_divmod(x, f, p)[1], p):
-        return False
-    for ell in _prime_divisors(n):
-        h = x
-        for _ in range(n // ell):
-            h = _gfp_pow_mod(h, p, f, p)
-        if len(_gfp_gcd(_gfp_sub(h, x, p), f, p)) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -464,40 +420,30 @@ class FqField:
 def fq_make(p: int, n: int = 1, modulus=None) -> FqField:
     """Construct GF(p^n), validating or searching for a defining polynomial.
 
-    When ``modulus`` is omitted, the lexicographically smallest monic
-    irreducible of degree n over GF(p) is selected by exhaustive search
-    (coefficients compared constant term first).
+    A modulus is accepted when it is monic of degree n and irreducible over
+    GF(p), that is, when its distinct-degree factorisation finds no factor
+    of degree <= n/2.  When ``modulus`` is omitted, the first irreducible is
+    selected by exhaustive search, counting c_0 + c_1*p + ... + c_(n-1)*p^(n-1)
+    upwards (c_0 the constant term); for n = 1 that is Y.
     """
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
     if n < 1:
         raise DegreeMismatch("extension degree must be >= 1")
-    if n == 1:
-        if modulus is not None:
-            modulus = [int(c) % p for c in modulus]
-            if len(modulus) != 2 or modulus[-1] != 1:
-                raise DegreeMismatch("modulus must be monic of degree 1")
-        else:
-            modulus = [0, 1]
-        return FqField(p, 1, modulus)
     if modulus is not None:
         modulus = [int(c) % p for c in modulus]
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise DegreeMismatch("modulus must be monic of degree %d" % n)
-        if not _gfp_irreducible(modulus, p):
-            raise ReducibleModulus("modulus is reducible over GF(%d)" % p)
-        return FqField(p, n, modulus)
-    # exhaustive search in lexicographic order on (c_0, c_1, ..., c_{n-1})
-    for value in range(p ** n):
-        coeffs = []
-        v = value
-        for _ in range(n):
-            coeffs.append(v % p)
-            v //= p
-        cand = coeffs + [1]
-        if _gfp_irreducible(cand, p):
+        candidates = [modulus]
+    else:
+        candidates = ([v // p ** i % p for i in range(n)] + [1]
+                      for v in range(p ** n))
+    gfp = FqField(p, 1, (0, 1))
+    for cand in candidates:
+        f = Poly(gfp, [gfp._make((c,)) for c in cand])
+        if _ddf(f) == [(f, n)]:
             return FqField(p, n, cand)
-    raise ReducibleModulus("no irreducible polynomial found")  # unreachable
+    raise ReducibleModulus("modulus is reducible over GF(%d)" % p)
 
 
 def fq_inv(a: FqElem) -> FqElem:
@@ -512,16 +458,18 @@ def fq_frobenius_inverse(a: FqElem) -> FqElem:
 # Dense univariate polynomials over an arbitrary coefficient field
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """A dense univariate polynomial over a coefficient field.
+class CoeffSeq:
+    """A trimmed tuple of coefficients, coefficient i standing at the i-th
+    power of the variable ``var``: the container, sum, difference, scaling
+    and printing shared by Poly and ore.OrePoly.  Products and divisions
+    belong to the subclass's ring.  ``noun`` and ``ZeroError`` name the zero
+    element in errors."""
 
-    The coefficient field can be GF(p^n), GF(p^n)(t), or any object exposing
-    ``zero``, ``one``, ``from_int`` and elements with ring operator overloads.
-    The same class therefore serves GF(q)[t], GF(q)(t)[Y] and the polynomial
-    matrices used in normal-form computations.
-    """
+    __slots__ = ("field", "coeffs")
 
-    __slots__ = ("field", "coeffs", "_icache")
+    var = "x"
+    noun = "polynomial"
+    ZeroError = ZeroPolynomial
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
@@ -529,36 +477,23 @@ class Poly:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
-        self._icache = None
 
-    # -- construction helpers
+    @classmethod
+    def zero(cls, field):
+        return cls(field, ())
 
-    @staticmethod
-    def zero(field):
-        return Poly(field, ())
+    @classmethod
+    def one(cls, field):
+        return cls(field, (field.one,))
 
-    @staticmethod
-    def one(field):
-        return Poly(field, (field.one,))
-
-    @staticmethod
-    def x(field):
-        return Poly(field, (field.zero, field.one))
-
-    @staticmethod
-    def const(field, c):
-        return Poly(field, (c,))
-
-    # -- structure
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
+    @classmethod
+    def const(cls, field, c):
+        return cls(field, (c,))
 
     @property
     def lc(self):
         if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise self.ZeroError("zero %s has no leading coefficient" % self.noun)
         return self.coeffs[-1]
 
     def coeff(self, i):
@@ -572,13 +507,105 @@ class Poly:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Poly)
+            other.__class__ is self.__class__
             and self.coeffs == other.coeffs
             and self.field == other.field
         )
 
     def __hash__(self):
         return hash(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return self.__class__(self.field, out)
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        z = self.field.zero
+        out = [z] * n
+        for i, c in enumerate(self.coeffs):
+            out[i] = c
+        for i, c in enumerate(other.coeffs):
+            out[i] = out[i] - c
+        return self.__class__(self.field, out)
+
+    def __neg__(self):
+        return self.__class__(self.field, [-c for c in self.coeffs])
+
+    def scale(self, c):
+        """The product with the coefficient c (on the left of an operator)."""
+        if not c:
+            return self.__class__(self.field, ())
+        return self.__class__(self.field, [a * c for a in self.coeffs])
+
+    def monic(self):
+        if not self:
+            return self
+        lc = self.lc
+        if lc == self.field.one:
+            return self
+        return self.scale(lc.inv())
+
+    def map_coeffs(self, func, field=None):
+        return self.__class__(field if field is not None else self.field,
+                              [func(c) for c in self.coeffs])
+
+    def sort_key(self):
+        return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            cs = repr(c)
+            if i == 0:
+                parts.append(cs)
+            else:
+                xs = self.var if i == 1 else "%s^%d" % (self.var, i)
+                parts.append(xs if cs == "1" else "(%s)*%s" % (cs, xs))
+        return " + ".join(parts)
+
+
+class Poly(CoeffSeq):
+    """A dense univariate polynomial over a coefficient field.
+
+    The coefficient field can be GF(p^n), GF(p^n)(t), or any object exposing
+    ``zero``, ``one``, ``from_int`` and elements with ring operator overloads.
+    The same class therefore serves GF(q)[t], GF(q)(t)[Y] and the polynomial
+    matrices used in normal-form computations.
+    """
+
+    __slots__ = ("_icache",)
+
+    def __init__(self, field, coeffs):
+        # CoeffSeq.__init__ inlined: a Poly is built on every ring operation
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.field = field
+        self.coeffs = tuple(coeffs)
+        self._icache = None
+
+    # -- construction helpers
+
+    @staticmethod
+    def x(field):
+        return Poly(field, (field.zero, field.one))
+
+    # -- structure
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
 
     # -- ring operations
 
@@ -597,35 +624,19 @@ class Poly:
 
     def __add__(self, other):
         ia = self._ints()
-        if ia is not None:
-            mk = self.field._make
-            return Poly(self.field, [mk((v,)) for v in
-                                     _gfp_add(ia, other._ints(), self.field.p)])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        if ia is None:
+            return CoeffSeq.__add__(self, other)
+        mk = self.field._make
+        return Poly(self.field, [mk((v,)) for v in
+                                 _gfp_add(ia, other._ints(), self.field.p)])
 
     def __sub__(self, other):
         ia = self._ints()
-        if ia is not None:
-            mk = self.field._make
-            return Poly(self.field, [mk((v,)) for v in
-                                     _gfp_sub(ia, other._ints(), self.field.p)])
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        out = [z] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Poly(self.field, out)
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        if ia is None:
+            return CoeffSeq.__sub__(self, other)
+        mk = self.field._make
+        return Poly(self.field, [mk((v,)) for v in
+                                 _gfp_sub(ia, other._ints(), self.field.p)])
 
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
@@ -646,11 +657,6 @@ class Poly:
                 for j, y in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + x * y
         return Poly(self.field, out)
-
-    def scale(self, c):
-        if not c:
-            return Poly(self.field, ())
-        return Poly(self.field, [a * c for a in self.coeffs])
 
     def __pow__(self, e):
         return binary_power(self, e, Poly.one(self.field))
@@ -690,14 +696,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def monic(self):
-        if not self:
-            return self
-        lc = self.lc
-        if lc == self.field.one:
-            return self
-        return self.scale(lc.inv())
-
     def derivative(self):
         """Formal derivative with respect to the polynomial variable."""
         f = self.field
@@ -712,10 +710,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def map_coeffs(self, func, field=None):
-        return Poly(field if field is not None else self.field,
-                    [func(c) for c in self.coeffs])
 
     def inflate(self, k):
         """Substitute x -> x^k."""
@@ -742,24 +736,6 @@ class Poly:
                 return None
         return Poly(self.field, out)
 
-    def sort_key(self):
-        return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = repr(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if i == 1 else "x^%d" % i
-                parts.append(xs if cs == "1" else "(%s)*%s" % (cs, xs))
-        return " + ".join(parts)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -811,26 +787,15 @@ def common_denominator(values):
     return den, [c.num * cofactors[c.den] for c in values]
 
 
-def poly_pth_root(f: Poly) -> Poly | None:
-    """The p-th root of a polynomial over GF(p^n), or None.
-
-    Succeeds exactly when every exponent is divisible by p; coefficients are
-    mapped through the inverse Frobenius (GF(p^n) is perfect).
-    """
-    p = f.field.p
-    d = f.deflate(p)
-    if d is None:
-        return None
-    return d.map_coeffs(lambda c: c.frobenius_inverse())
-
-
 # ---------------------------------------------------------------------------
 # Factorisation over GF(q)[t]
 # ---------------------------------------------------------------------------
 
-def _ddf(f: Poly, rng):
+def _ddf(f: Poly):
     """Distinct-degree factorisation of a monic squarefree f; yields
-    (product-of-irreducibles-of-degree-d, d)."""
+    (product-of-irreducibles-of-degree-d, d).  For any monic f of degree
+    n >= 1 the result is [(f, n)] exactly when f is irreducible: a reducible
+    f has a factor of degree <= n/2, which the step of that degree finds."""
     field = f.field
     q = field.q
     x = Poly.x(field)
@@ -897,7 +862,7 @@ def _edf(f: Poly, d: int, rng) -> list[Poly]:
 def _factor_squarefree_fq(f: Poly, rng) -> list[Poly]:
     """Irreducible factors of a monic squarefree polynomial over GF(q)."""
     out = []
-    for part, d in _ddf(f, rng):
+    for part, d in _ddf(f):
         out.extend(_edf(part, d, rng))
     return sorted(out, key=lambda h: h.sort_key())
 
@@ -1084,13 +1049,8 @@ class RatFunc:
 
     def pth_root(self) -> "RatFunc | None":
         """The p-th root when this is a p-th power, else None."""
-        rn = poly_pth_root(self.num)
-        if rn is None:
-            return None
-        rd = poly_pth_root(self.den)
-        if rd is None:
-            return None
-        return RatFunc(self.field, rn, rd)
+        d = self.deflate(self.field.base.p)
+        return None if d is None else d.frobenius_inverse_coeffs()
 
     def deflate(self, k) -> "RatFunc | None":
         """Substitute t^k -> t (coefficients unchanged) when this lies in

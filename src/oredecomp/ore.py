@@ -2,9 +2,10 @@
 coefficient field.
 
 Operators are polynomials in D = d/dt with coefficients in GF(q)(t) or in a
-separable extension K of it; multiplication follows the commutation rule
-D*f = f*D + f'.  The coefficient field object must expose ``zero``, ``one``,
-``from_int`` and ``derivative`` in addition to element arithmetic.
+separable extension K of it, stored in fieldkit's coefficient container
+(``CoeffSeq``, shared with ``Poly``); multiplication follows the commutation
+rule D*f = f*D + f'.  The coefficient field object must expose ``zero``,
+``one``, ``from_int`` and ``derivative`` in addition to element arithmetic.
 
 Provides multiplication, right Euclidean division, GCRD, the companion
 connection of D_L = K<D>/K<D>L with LCLM and application to functions built on
@@ -21,129 +22,45 @@ from .errors import (
     NotDivisible,
     ZeroOperator,
 )
-from .fieldkit import RatFuncField, binary_power, common_denominator
+from .fieldkit import CoeffSeq, RatFuncField, binary_power, common_denominator
 from .linalg import DependencyFinder
 
 
-class OrePoly:
-    """A linear differential operator: coefficient i multiplies D^i."""
+class OrePoly(CoeffSeq):
+    """A linear differential operator: coefficient i multiplies D^i.  The
+    container is fieldkit.CoeffSeq's; sums and differences also check that
+    both operands have one coefficient field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def zero(field):
-        return OrePoly(field, ())
-
-    @staticmethod
-    def one(field):
-        return OrePoly(field, (field.one,))
+    var = "D"
+    noun = "operator"
+    ZeroError = ZeroOperator
 
     @staticmethod
     def partial(field):
         """The operator D."""
         return OrePoly(field, (field.zero, field.one))
 
-    @staticmethod
-    def const(field, c):
-        return OrePoly(field, (c,))
-
     @property
     def order(self):
         """Degree in D; -1 for the zero operator."""
         return len(self.coeffs) - 1
 
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise ZeroOperator("zero operator has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrePoly)
-            and self.coeffs == other.coeffs
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        out = [z] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] + c
-        return OrePoly(self.field, out)
+        return CoeffSeq.__add__(self, other)
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return OrePoly(self.field, [-c for c in self.coeffs])
-
-    def scale(self, c):
-        """Left multiplication by an order-0 coefficient."""
-        if not c:
-            return OrePoly.zero(self.field)
-        return OrePoly(self.field, [a * c for a in self.coeffs])
+        self._check(other)
+        return CoeffSeq.__sub__(self, other)
 
     def __mul__(self, other):
         return ore_mul(self, other)
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def monic(self):
-        if not self:
-            return self
-        lc = self.lc
-        if lc == self.field.one:
-            return self
-        return self.scale(lc.inv())
-
     def _check(self, other):
         if self.field != other.field:
             raise FieldMismatch("operators over different coefficient fields")
-
-    def map_coeffs(self, func, field=None):
-        return OrePoly(field if field is not None else self.field,
-                       [func(c) for c in self.coeffs])
-
-    def sort_key(self):
-        return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = repr(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                ds = "D" if i == 1 else "D^%d" % i
-                parts.append(ds if cs == "1" else "(%s)*%s" % (cs, ds))
-        return " + ".join(parts)
 
 
 def _partial_times(B: OrePoly) -> OrePoly:

@@ -405,3 +405,81 @@ def test_console_script_entry_point(monkeypatch, capsys):
     assert done.value.code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verified"] is True and len(doc["factors"]) == 2
+
+
+# -- stdout that cannot be written ---------------------------------------------
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("target", ["dev_full", "closed_pipe"])
+def test_stdout_write_failure_exits_2_with_json(target, unbuffered):
+    if target == "dev_full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "dev_full":
+        out = os.open("/dev/full", os.O_WRONLY)
+    else:
+        out = _closed_pipe()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "oredecomp", "decompose", "--p", "3", "--n", "1",
+             "--expr", "D^3 - (t^3+1)/(t^3+2)", "--no-timings"],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(out)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    doc = json.loads(done.stderr.strip().splitlines()[-1])
+    expected = "OSError" if target == "dev_full" else "BrokenPipeError"
+    assert doc["class"] == expected
+
+
+# -- the size bound on powers --------------------------------------------------
+
+@pytest.mark.parametrize("text", ["t^99999999", "D^99999", "((t^999)^999)^999"])
+def test_oversized_power_exits_2_at_the_caret(capsys, text):
+    import time
+
+    start = time.perf_counter()
+    assert run(["decompose", "--p", "3", "--expr", text]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["class"] == "ExprSyntaxError"
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator(text, fq_make(3))
+    # t^999 is fine; its 999th power is the first result over the bound
+    first = text.index("^")
+    caret = text.index("^", first + 1) if text.startswith("(") else first
+    assert err.value.position == caret
+    assert doc["error"].endswith("(at position %d)" % caret)
+
+
+def test_power_bound_boundary():
+    from oredecomp.cli import _MAX_POWER_DEGREE, _MAX_POWER_T_DEGREE
+
+    assert (_MAX_POWER_DEGREE, _MAX_POWER_T_DEGREE) == (1024, 65536)
+    F3 = fq_make(3)
+    R = RatFuncField(F3)
+    assert parse_ypoly("Y^1024", F3).degree == 1024
+    assert parse_ypoly("(Y^2)^512", F3).degree == 1024
+    t_max = parse_ypoly("t^65536", F3).coeff(0)
+    assert t_max.num.degree == 65536 and t_max.den == Poly.one(F3)
+    assert parse_ypoly("(1/t^2)^32768", F3).coeff(0) == R.one / t_max
+    for text, caret in (("Y^1025", 1), ("(Y^2)^513", 5), ("t^65537", 1),
+                        ("(1/t^2)^32769", 7), ("(t*Y)^1025", 5)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_ypoly(text, F3)
+        assert err.value.position == caret, text

@@ -52,6 +52,55 @@ def test_fq_make_default_modulus_is_smallest_irreducible():
     assert F9.modulus == best[1]
 
 
+def _monic_candidates(p, n):
+    # every monic polynomial of degree n over GF(p), constant term first, in
+    # the order of c_0 + c_1*p + ... + c_(n-1)*p^(n-1)
+    for v in range(p ** n):
+        yield [v // p ** i % p for i in range(n)] + [1]
+
+
+def _divides(d, f, p):
+    # trial division of f by the monic d over GF(p), on int lists
+    r = list(f)
+    while len(r) >= len(d):
+        c = r[-1]
+        k = len(r) - len(d)
+        for j, y in enumerate(d):
+            r[k + j] = (r[k + j] - c * y) % p
+        r.pop()
+    return not any(r)
+
+
+def _irreducible_by_trial_division(f, p):
+    n = len(f) - 1
+    return not any(_divides(d, f, p)
+                   for k in range(1, n // 2 + 1) for d in _monic_candidates(p, k))
+
+
+def test_fq_make_accepts_exactly_the_irreducible_moduli():
+    # all 930 monic candidates of degree 1..4 over GF(2), GF(3) and GF(5)
+    seen = 0
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for cand in _monic_candidates(p, n):
+                seen += 1
+                if _irreducible_by_trial_division(cand, p):
+                    assert fq_make(p, n, cand).modulus == tuple(cand)
+                else:
+                    with pytest.raises(ReducibleModulus):
+                        fq_make(p, n, cand)
+    assert seen == 930
+
+
+def test_fq_make_default_modulus_is_the_first_irreducible():
+    fields = ([(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+              + [(5, n) for n in range(1, 4)] + [(7, 2)])
+    for p, n in fields:
+        first = next(c for c in _monic_candidates(p, n)
+                     if _irreducible_by_trial_division(c, p))
+        assert fq_make(p, n).modulus == tuple(first), (p, n)
+
+
 def test_fq_inv_examples():
     F5 = fq_make(5)
     assert fq_inv(F5.from_int(2)) == F5.from_int(3)
@@ -167,7 +216,7 @@ def test_ratfunc_pth_root_examples():
     assert ratfunc_pth_root(t) is None
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
 def test_ratfunc_pth_root_and_derivative_of_pth_powers(p, n):
     field = fq_make(p, n)
     R = RatFuncField(field)

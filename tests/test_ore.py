@@ -274,3 +274,55 @@ def test_error_paths():
         lclm([D3, OrePoly.zero(R3)])
     with pytest.raises(ZeroOperator):
         lclm([])
+
+
+# -- the coefficient container shared with fieldkit.Poly -----------------------
+
+def test_container_contract():
+    from oredecomp.errors import FieldMismatch, ZeroOperator, ZeroPolynomial
+    from oredecomp.fieldkit import Poly
+
+    R, t, D, one = _setup(3)
+    R5 = RatFuncField(fq_make(5))
+    coeffs = (t, R.one)
+    op, poly = OrePoly(R, coeffs), Poly(R, coeffs)
+    assert op != poly and poly != op
+    assert hash(op) == hash(poly)
+    assert not isinstance(op, Poly) and not isinstance(poly, OrePoly)
+    for cls in (OrePoly, Poly):
+        for made in (cls.zero(R), cls.one(R), cls.const(R, t)):
+            assert type(made) is cls
+    assert type(-op) is OrePoly and type(op.scale(t)) is OrePoly
+    assert type(op.map_coeffs(lambda c: c * t)) is OrePoly
+    with pytest.raises(ZeroOperator) as err:
+        OrePoly.zero(R).lc
+    assert str(err.value) == "zero operator has no leading coefficient"
+    with pytest.raises(ZeroPolynomial) as err:
+        Poly.zero(R).lc
+    assert str(err.value) == "zero polynomial has no leading coefficient"
+    with pytest.raises(FieldMismatch):
+        D - OrePoly.partial(R5)
+    with pytest.raises(FieldMismatch):
+        D + OrePoly.partial(R5)
+
+
+def test_repr_is_unchanged():
+    from oredecomp.fieldkit import Poly
+
+    F9 = fq_make(3, 2)
+    R9 = RatFuncField(F9)
+    g, t = R9.from_base(F9.gen()), R9.t
+    R5 = RatFuncField(fq_make(5))
+    ops = [
+        OrePoly.zero(R9),
+        OrePoly(R9, (t, (g * t + R9.one) / (t + R9.from_int(2)), R9.one)),
+        OrePoly(R5, (R5.from_int(3), R5.zero, R5.one, R5.t * R5.t)),
+    ]
+    polys = [
+        Poly.zero(F9),
+        Poly(F9, (F9.gen(), F9.zero, F9.one, F9.from_int(2))),
+        Poly(R5, (R5.one / R5.t, R5.from_int(4), R5.one)),
+    ]
+    assert [repr(x) for x in ops] == [
+        "0", "D^2 + (((g)*t + 1)/(t + 2))*D + t", "(t^2)*D^3 + D^2 + 3"]
+    assert [repr(x) for x in polys] == ["0", "(2)*x^3 + x^2 + g", "x^2 + (4)*x + (1)/(t)"]
