@@ -10,10 +10,11 @@ reduces through the commutation rule:
     factor := base ("^" uint)?
     base   := "D" | "t" | "g" | uint | "(" expr ")"
 
-"/" requires an order-0 right operand; "^" takes a nonnegative integer,
-and a power whose result would have degree in D (or Y) above _MAX_POWER_DEGREE
-or a coefficient of t-degree above _MAX_POWER_T_DEGREE is refused;
-juxtaposition is not multiplication; parentheses nest at most _MAX_NESTING
+"/" requires an order-0 right operand; "^" takes a nonnegative integer.
+A power, product or quotient whose result would have degree in D (or Y)
+above _MAX_POWER_DEGREE or a coefficient of t-degree above
+_MAX_POWER_T_DEGREE is refused at its operator; juxtaposition is not
+multiplication; parentheses nest at most _MAX_NESTING
 deep.  Invariant chains use the same grammar with "Y" in place of "D" (and
 commutative multiplication).
 
@@ -67,9 +68,10 @@ _SYMBOLS = ("D", "t", "g", "Y")
 # keeps a parse well inside Python's default recursion limit of 1000
 _MAX_NESTING = 100
 
-# a^e is refused when its result would exceed these sizes (degree in D or Y,
-# and t-degree of a coefficient's numerator or denominator), estimated as e
-# times the size of a; they refuse absurd inputs, not slow ones
+# a^e, a*b and a/b are refused when their result would exceed these sizes
+# (degree in D or Y, and t-degree of a coefficient's numerator or
+# denominator), estimated as e times the size of a, or as the sum of the
+# sizes of a and b; they refuse absurd inputs, not slow ones
 _MAX_POWER_DEGREE = 1024
 _MAX_POWER_T_DEGREE = 65536
 
@@ -101,6 +103,13 @@ def _tokenize(text: str):
         raise ExprSyntaxError("unexpected character %r" % ch, i)
     tokens.append(("end", None, n))
     return tokens
+
+
+def _size(value):
+    """The degree of an operator or Y-polynomial in its variable, and the
+    largest t-degree of a coefficient's numerator or denominator."""
+    return (len(value.coeffs) - 1,
+            max((max(c.num.degree, c.den.degree) for c in value.coeffs), default=0))
 
 
 class _Parser:
@@ -150,6 +159,9 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.next()
             rhs = self.factor()
+            (da, ta), (db, tb) = _size(value), _size(rhs)
+            self.refuse_oversized(da + db, ta + tb, pos,
+                                  "product" if op == "*" else "quotient")
             if op == "*":
                 value = value * rhs
             else:
@@ -164,16 +176,17 @@ class _Parser:
             if tok[0] != "uint":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", tok[2])
             e = tok[1]
-            t_degree = max((max(c.num.degree, c.den.degree) for c in value.coeffs),
-                           default=0)
-            if (e * (len(value.coeffs) - 1) > _MAX_POWER_DEGREE
-                    or e * t_degree > _MAX_POWER_T_DEGREE):
-                raise ExprSyntaxError(
-                    "power too large: the result would exceed degree %d in %s "
-                    "or %d in t" % (_MAX_POWER_DEGREE, self.algebra.var,
-                                    _MAX_POWER_T_DEGREE), pos)
+            degree, t_degree = _size(value)
+            self.refuse_oversized(e * degree, e * t_degree, pos, "power")
             value = self.algebra.pow(value, e)
         return value
+
+    def refuse_oversized(self, degree, t_degree, pos, what):
+        if degree > _MAX_POWER_DEGREE or t_degree > _MAX_POWER_T_DEGREE:
+            raise ExprSyntaxError(
+                "%s too large: the result would exceed degree %d in %s "
+                "or %d in t" % (what, _MAX_POWER_DEGREE, self.algebra.var,
+                                _MAX_POWER_T_DEGREE), pos)
 
     def base(self):
         tok = self.next()

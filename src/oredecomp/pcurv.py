@@ -136,7 +136,7 @@ def pcurvature_matrix(L: OrePoly) -> Matrix:
         if k + 1 >= p:
             cols.append(v)
     # den^p is den with Frobenius-mapped coefficients, inflated by t -> t^p
-    den_k = den.map_coeffs(lambda c: c.frobenius()).inflate(p)
+    den_k = field.from_poly(den).frobenius_coeffs().inflate(p).num
     out = []
     for col in cols:
         out.append([RatFunc.make(field, vj, den_k) for vj in col])

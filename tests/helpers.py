@@ -128,3 +128,152 @@ def kernel_basis_by_rref(M):
             v[pc] = -r[free]
         basis.append(tuple(v))
     return basis
+
+
+# -- a schoolbook reference for polynomials over GF(q) --------------------------
+#
+# Plain tuples of FqElem coefficients, constant term first, with no trailing
+# zeros.  Products of field elements are computed here from the coordinates
+# and inverses by search, so that no kernel of fieldkit is involved.
+
+def ref_fmul(a, b):
+    """a * b in GF(p^n): the coordinate convolution, reduced by the monic
+    modulus from the top down."""
+    F = a.field
+    n = F.n
+    conv = [0] * (2 * n - 1)
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            conv[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = conv[k]
+        for j in range(n + 1):
+            conv[k - n + j] -= c * F.modulus[j]
+    return F.elem(conv[:n])
+
+
+def ref_finv(a):
+    return next(x for x in a.field.all_elements() if ref_fmul(a, x) == a.field.one)
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return ref_trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_neg(b))
+
+
+def ref_scale(a, c):
+    return ref_trim(ref_fmul(x, c) for x in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + ref_fmul(x, y)
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    inv = ref_finv(b[-1])
+    r = list(a)
+    q = [b[0].field.zero] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = ref_fmul(r[-1], inv)
+        k = len(r) - len(b)
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] = r[k + j] - ref_fmul(c, y)
+        r = list(ref_trim(r))
+    return ref_trim(q), tuple(r)
+
+
+def ref_monic(a):
+    return ref_scale(a, ref_finv(a[-1])) if a else a
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_xgcd(a, b, one):
+    """(g, u, v) with u*a + v*b = g monic, by the same Euclid as poly_xgcd."""
+    r0, r1, s0, s1, t0, t1 = a, b, (one,), (), (), (one,)
+    while r1:
+        q, r = ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_sub(s0, ref_mul(q, s1))
+        t0, t1 = t1, ref_sub(t0, ref_mul(q, t1))
+    if r0:
+        inv = ref_finv(r0[-1])
+        r0, s0, t0 = ref_scale(r0, inv), ref_scale(s0, inv), ref_scale(t0, inv)
+    return r0, s0, t0
+
+
+def ref_derivative(a):
+    return ref_trim(ref_fmul(c, c.field.from_int(i)) for i, c in enumerate(a) if i)
+
+
+def ref_eval(a, x):
+    acc = x.field.zero
+    for c in reversed(a):
+        acc = ref_fmul(acc, x) + c
+    return acc
+
+
+def ref_inflate(a, k):
+    out = []
+    for i, c in enumerate(a):
+        out.extend([c.field.zero] * ((k - 1) if i else 0) + [c])
+    return tuple(out)
+
+
+def ref_deflate(a, k):
+    if any(c for i, c in enumerate(a) if i % k):
+        return None
+    return tuple(a[::k])
+
+
+def ref_frobenius(a):
+    """Every coefficient raised to the p-th power."""
+    out = []
+    for c in a:
+        y = c.field.one
+        for _ in range(c.field.p):
+            y = ref_fmul(y, c)
+        out.append(y)
+    return tuple(out)
+
+
+def ref_repr(a):
+    """The printed form of a polynomial in x with these coefficients."""
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        if not a[i]:
+            continue
+        cs = repr(a[i])
+        if i == 0:
+            parts.append(cs)
+        else:
+            xs = "x" if i == 1 else "x^%d" % i
+            parts.append(xs if cs == "1" else "(%s)*%s" % (cs, xs))
+    return " + ".join(parts) if parts else "0"

@@ -483,3 +483,27 @@ def test_power_bound_boundary():
         with pytest.raises(ExprSyntaxError) as err:
             parse_ypoly(text, F3)
         assert err.value.position == caret, text
+
+
+def test_oversized_product_exits_2_at_the_star(capsys):
+    assert run(["decompose", "--p", "3", "--expr", "D^1024*D^1024"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["class"] == "ExprSyntaxError"
+    assert doc["error"].endswith("(at position 6)")
+
+
+def test_product_and_quotient_bounds():
+    F3 = fq_make(3)
+    for text, parse, caret in (("D^1024*D^1024", parse_operator, 6),
+                               ("Y^600*Y^600", parse_ypoly, 5),
+                               ("Y*Y^1024", parse_ypoly, 1),
+                               ("t^40000*t^30000", parse_ypoly, 7),
+                               ("Y^2*t^40000/t^30000", parse_ypoly, 11)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, F3)
+        assert err.value.position == caret, text
+    assert parse_ypoly("Y^512*Y^512", F3).degree == 1024
+    assert parse_ypoly("t^30000*t^35536", F3).coeff(0).num.degree == 65536
+    assert parse_ypoly("t^30000/t^35536", F3).coeff(0).den.degree == 5536

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,11 +16,31 @@ from oredecomp.fieldkit import (
     poly_factor_fq,
     poly_gcd,
     poly_lcm,
+    poly_xgcd,
     ratfunc_derivative,
     ratfunc_pth_root,
 )
 
-from helpers import all_small_fields, rand_poly, rand_ratfunc
+from helpers import (
+    all_small_fields,
+    rand_poly,
+    rand_ratfunc,
+    ref_add,
+    ref_deflate,
+    ref_derivative,
+    ref_divmod,
+    ref_eval,
+    ref_frobenius,
+    ref_gcd,
+    ref_inflate,
+    ref_monic,
+    ref_mul,
+    ref_neg,
+    ref_repr,
+    ref_scale,
+    ref_sub,
+    ref_xgcd,
+)
 
 
 def test_fq_make_prime_field():
@@ -397,3 +418,87 @@ def test_poly_factor_deep_descent(p, n):
         prod = prod * irr ** m
     assert prod == f
     assert dict(factors) == expected
+
+
+# -- the int-coordinate kernels against the FqElem schoolbook reference ---------
+
+def _reference_operands(F, rng):
+    """Zero, constants, and polynomials of degree 1 to 13 (products of
+    degrees straddle the Kronecker cutoff), half of them with a leading
+    coefficient in GF(p), whose top coordinate is 0 when n > 1, and one with
+    every coefficient in GF(p)."""
+    prime = [F.from_int(k) for k in range(1, F.p)]
+    ops = [(), (F.one,), (F.from_int(-1),), (F.random(rng) or F.one,)]
+    for deg in (1, 2, 3, 4, 5, 8, 13):
+        for lc in (F.random(rng) or F.one, rng.choice(prime)):
+            ops.append(tuple(F.random(rng) for _ in range(deg)) + (lc,))
+    ops.append(tuple(rng.choice(prime) for _ in range(6)))
+    return ops
+
+
+def _assert_matches(P, ref):
+    F = P.field
+    assert P.coeffs == ref
+    assert P == Poly(F, ref) and hash(P) == hash(ref)
+    assert P.sort_key() == (len(ref), tuple(c.coords for c in ref))
+    assert repr(P) == ref_repr(ref)
+    assert P.degree == len(ref) - 1 and bool(P) == bool(ref)
+    assert [P.coeff(i) for i in range(-1, len(ref) + 1)] == [F.zero, *ref, F.zero]
+    if ref:
+        assert P.lc == ref[-1] and P.is_monic() == (ref[-1] == F.one)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (17, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_kernels_match_the_schoolbook_reference(p, n):
+    F = fq_make(p, n)
+    R = RatFuncField(F)
+    rng = random.Random(100 * p + n)
+    ops = _reference_operands(F, rng)
+    polys = [Poly(F, a) for a in ops]
+    scalars = [F.zero, F.one, F.from_int(p - 1), F.random(rng)]
+    for a, A in zip(ops, polys):
+        _assert_matches(A, a)
+        _assert_matches(-A, ref_neg(a))
+        _assert_matches(A.monic(), ref_monic(a))
+        _assert_matches(A.derivative(), ref_derivative(a))
+        for c in scalars:
+            _assert_matches(A.scale(c), ref_scale(a, c))
+            assert A.eval(c) == ref_eval(a, c)
+        for k in (2, p):
+            _assert_matches(A.inflate(k), ref_inflate(a, k))
+            _assert_matches(A.inflate(k).deflate(k), a)
+            d = A.deflate(k)
+            assert (d is None) == (ref_deflate(a, k) is None)
+            if d is not None:
+                _assert_matches(d, ref_deflate(a, k))
+    straddle = set()
+    for (a, A), (b, B) in itertools.product(zip(ops, polys), repeat=2):
+        _assert_matches(A + B, ref_add(a, b))
+        _assert_matches(A - B, ref_sub(a, b))
+        _assert_matches(A * B, ref_mul(a, b))
+        if a and b:
+            straddle.add(A.degree * B.degree >= fieldkit._KRONECKER_CUTOFF)
+        _assert_matches(poly_gcd(A, B), ref_gcd(a, b))
+        for got, want in zip(poly_xgcd(A, B), ref_xgcd(a, b, F.one)):
+            _assert_matches(got, want)
+        if not b:
+            continue
+        q, r = ref_divmod(a, b)
+        Q, Rm = A.divmod(B)
+        _assert_matches(Q, q)
+        _assert_matches(Rm, r)
+        _assert_matches(A // B, q)
+        _assert_matches(A % B, r)
+        if a:
+            # the Frobenius maps and the p-th root of a reduced fraction
+            f = RatFunc.make(R, A, B)
+            num, den = f.num.coeffs, f.den.coeffs
+            _assert_matches(f.frobenius_coeffs().num, ref_frobenius(num))
+            _assert_matches(f.frobenius_coeffs().den, ref_frobenius(den))
+            g = RatFunc(R, Poly(F, ref_inflate(ref_frobenius(num), p)),
+                        Poly(F, ref_inflate(ref_frobenius(den), p)))
+            assert g == f ** p and g.pth_root() == f
+            assert f.frobenius_coeffs().frobenius_inverse_coeffs() == f
+            assert (f.pth_root() is None) == (ref_deflate(num, p) is None
+                                              or ref_deflate(den, p) is None)
+    assert straddle == {False, True}
