@@ -13,8 +13,9 @@ reduces through the commutation rule:
 "/" requires an order-0 right operand; "^" takes a nonnegative integer.
 A power, product or quotient whose result would have degree in D (or Y)
 above _MAX_POWER_DEGREE or a coefficient of t-degree above
-_MAX_POWER_T_DEGREE is refused at its operator; juxtaposition is not
-multiplication; parentheses nest at most _MAX_NESTING
+_MAX_POWER_T_DEGREE is refused at its operator, by an estimate read off
+the text before anything is evaluated and again on the built operands;
+juxtaposition is not multiplication; parentheses nest at most _MAX_NESTING
 deep.  Invariant chains use the same grammar with "Y" in place of "D" (and
 commutative multiplication).
 
@@ -108,6 +109,8 @@ def _tokenize(text: str):
 def _size(value):
     """The degree of an operator or Y-polynomial in its variable, and the
     largest t-degree of a coefficient's numerator or denominator."""
+    if isinstance(value, _Size):
+        return value
     return (len(value.coeffs) - 1,
             max((max(c.num.degree, c.den.degree) for c in value.coeffs), default=0))
 
@@ -246,13 +249,51 @@ class _Algebra:
         return binary_power(a, e, self.ring.one(self.ratfield))
 
 
+class _Size(tuple):
+    """A size estimate (degree in D or Y, t-degree) in place of a value:
+    sums and differences take the larger size, products add sizes."""
+
+    def __add__(self, other):
+        return _Size(map(max, self, other))
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Size((self[0] + other[0], self[1] + other[1]))
+
+
+class _SizeAlgebra:
+    """Evaluation into size estimates read off the text: D or Y counts
+    (1, 0), t (0, 1), integers and g (0, 0).  A first parse on these refuses
+    an oversized power, product or quotient before any value is built; the
+    parse on values checks each bound again on the built operands, which can
+    outgrow the estimate (1/t + 1/(t+1) has t-degree 2)."""
+
+    def __init__(self, var: str):
+        self.var = var
+
+    def from_int(self, k):
+        return _Size((0, 0))
+
+    def symbol(self, name, pos):
+        return _Size((1, 0) if name == self.var else (0, 1) if name == "t" else (0, 0))
+
+    def div(self, a, b, pos):
+        return a * b
+
+    def pow(self, a, e):
+        return _Size((e * a[0], e * a[1]))
+
+
 def parse_operator(text: str, field: FqField) -> OrePoly:
     """Parse an operator expression over GF(q)(t)."""
+    _Parser(text, _SizeAlgebra("D")).parse()
     return _Parser(text, _Algebra(OrePoly, "D", RatFuncField(field))).parse()
 
 
 def parse_ypoly(text: str, field: FqField) -> Poly:
     """Parse a commutative polynomial in Y over GF(q)(t)."""
+    _Parser(text, _SizeAlgebra("Y")).parse()
     return _Parser(text, _Algebra(Poly, "Y", RatFuncField(field))).parse()
 
 

@@ -546,7 +546,8 @@ class Poly(CoeffSeq):
     The coefficient field can be GF(p^n), GF(p^n)(t), or any object exposing
     ``zero``, ``one``, ``from_int`` and elements with ring operator overloads.
     The same class therefore serves GF(q)[t], GF(q)(t)[Y] and the polynomial
-    matrices used in normal-form computations.  Over an ``FqField`` the
+    matrices used in normal-form computations; division by a monic divisor
+    takes no inverse, so a coefficient ring such as GF(q)[t] serves too.  Over an ``FqField`` the
     constructor returns a ``_FqPoly``, which holds int coordinates.
     """
 
@@ -584,12 +585,13 @@ class Poly(CoeffSeq):
     def divmod(self, other):
         if not other:
             raise DivisionByZero("polynomial division by zero")
-        inv_lb = other.lc.inv()
+        # a monic divisor needs no inverse, so its coefficients may be a ring
+        inv_lb = None if other.is_monic() else other.lc.inv()
         r = list(self.coeffs)
         db = other.degree
         q = [self.field.zero] * max(len(r) - db, 0)
         while len(r) > db:
-            c = r[-1] * inv_lb
+            c = r[-1] if inv_lb is None else r[-1] * inv_lb
             k = len(r) - db - 1
             q[k] = c
             for j, y in enumerate(other.coeffs):
@@ -746,6 +748,13 @@ class _FqPoly(Poly):
         f = self.field
         n, p = f.n, f.p
         return _fqpoly(f, _fq_trim([k // n * x % p for k, x in enumerate(self._v)][n:], n))
+
+    def _truncate(self, k):
+        """This polynomial modulo x^k."""
+        n = self.field.n
+        if len(self._v) <= k * n:
+            return self
+        return _fqpoly(self.field, _fq_trim(list(self._v[:k * n]), n))
 
     def _frobenius(self, e):
         """Every coefficient c mapped to c^(p^e), as the GF(p)-linear map

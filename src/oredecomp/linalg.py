@@ -340,15 +340,6 @@ def char_poly(M: Matrix) -> Poly:
     return Poly(field, list(reversed(C)))
 
 
-def determinant(M: Matrix):
-    """det(A) = (-1)^n * char_poly(A)(0)."""
-    if not M.is_square():
-        raise NotSquare("determinant of a non-square matrix")
-    cp = char_poly(M)
-    c0 = cp.coeff(0)
-    return -c0 if M.nrows % 2 else c0
-
-
 def mat_eval_poly(P: Poly, M: Matrix) -> Matrix:
     """Evaluate a polynomial at a square matrix (Horner)."""
     field = M.field

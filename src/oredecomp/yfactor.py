@@ -1,13 +1,19 @@
 """Factorisation of monic polynomials in GF(q)(t)[Y] into irreducibles.
 
-The strategy is classical: clear denominators to a primitive bivariate
-polynomial over GF(q)[t]; reduce to the squarefree separable case (with a
-p-th-root descent when the Y-derivative vanishes, which can surface genuinely
-inseparable irreducible factors); pick an evaluation point t0 with a
-degree-preserving squarefree specialization, enlarging the evaluation field
-to GF(q^k), k <= 4, when the base field is too small; factor the
-specialization; Hensel-lift the local factors in powers of (t - t0); and
-recombine subsets by trial exact division.
+The strategy is classical (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 15): clear denominators to a primitive F in GF(q)[t][Y]; reduce
+to the squarefree separable case (with a p-th-root descent when the
+Y-derivative vanishes, which can surface genuinely inseparable irreducible
+factors); pick an evaluation point t0 with a degree-preserving squarefree
+specialization, enlarging the evaluation field to GF(q^k), k <= 4, when the
+base field is too small; factor the specialization; Hensel-lift the local
+factors in powers of u = t - t0; and recombine subsets by trial exact
+division.
+
+Every Y-polynomial here is a ``Poly``: over GF(q)(t), over GF(q) (the
+specializations), or over the polynomial ring GF(q)[t] or GF(q^k)[u] (F, its
+series picture, the lifted factors, their Bezout pairs and the products tried
+in recombination).  Series are truncated mod u^k after each ring operation.
 
 Lift precision is 2*deg_t + 1 of the cleared polynomial: a factor's t-degree
 cannot exceed the total, and doubling guards the leading-coefficient products
@@ -91,14 +97,33 @@ class FieldEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series in u with GF(q^k) coefficients, and Y-polynomials
-# over them (plain lists, ascending in Y)
+# Y-polynomials over GF(q)[t] and over series in u with GF(q^k) coefficients:
+# Poly over the ring below, the series truncated mod u^k after each ring
+# operation (truncation is a ring homomorphism, so the order of the two does
+# not matter)
 # ---------------------------------------------------------------------------
 
-def _ser_trunc(c: Poly, prec: int) -> Poly:
-    if c.degree < prec:
-        return c
-    return Poly(c.field, c.coeffs[:prec])
+class _PolyRing:
+    """GF(q)[t] (or GF(q^k)[u]) as a coefficient ring: the zero, one and
+    from_int that Poly asks of its field."""
+
+    __slots__ = ("base", "zero", "one")
+
+    def __init__(self, base: FqField):
+        self.base = base
+        self.zero = Poly.zero(base)
+        self.one = Poly.one(base)
+
+    def from_int(self, k: int) -> Poly:
+        return Poly.const(self.base, self.base.from_int(k))
+
+    def __eq__(self, other):
+        return isinstance(other, _PolyRing) and self.base == other.base
+
+
+def _trunc(f: Poly, prec: int) -> Poly:
+    """A Y-polynomial with every coefficient taken mod u^prec."""
+    return f.map_coeffs(lambda c: c._truncate(prec))
 
 
 def _ser_inv(c: Poly, prec: int) -> Poly:
@@ -109,103 +134,44 @@ def _ser_inv(c: Poly, prec: int) -> Poly:
     two = Poly.const(field, field.from_int(2))
     while k < prec:
         k = min(2 * k, prec)
-        inv = _ser_trunc(inv * (two - _ser_trunc(c, k) * inv), k)
+        inv = (inv * (two - c._truncate(k) * inv))._truncate(k)
     return inv
 
 
-def _ytrim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _ymul(f, g, prec, field):
-    if not f or not g:
-        return []
-    out = [Poly.zero(field) for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = _ser_trunc(out[i + j] + a * b, prec)
-    return _ytrim(out)
-
-
-def _yadd(f, g, field):
-    out = [Poly.zero(field)] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = out[i] + b
-    return _ytrim(out)
-
-
-def _ysub(f, g, field):
-    out = [Poly.zero(field)] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = out[i] - b
-    return _ytrim(out)
-
-
-def _ydivmod_monic(f, g, prec, field):
-    """Divide by a Y-monic divisor with series coefficients."""
-    r = [(_ser_trunc(c, prec)) for c in f]
-    _ytrim(r)
-    dg = len(g) - 1
-    q = [Poly.zero(field)] * max(len(r) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        c = r[-1]
-        k = len(r) - 1 - dg
-        q[k] = c
-        for j, b in enumerate(g):
-            r[k + j] = _ser_trunc(r[k + j] - c * b, prec)
-        r.pop()
-        _ytrim(r)
-    return q, r
-
-
-def _hensel_pair(f, g0, h0, bez_s, bez_t, prec, field):
+def _hensel_pair(f, G, H, s, t, prec):
     """Lift f = G*H from precision 1 to the requested precision.
 
-    Input: f monic in Y with series coefficients; g0, h0 monic with constant
-    coefficients; bez_s*h0 + bez_t*g0 = 1 over the residue field.  Returns
-    (G, H), both exactly monic in Y, with f = G*H modulo u^prec.
+    Input: f monic in Y with series coefficients; G, H monic with constant
+    coefficients; s*H + t*G = 1 over the residue field.  Returns (G, H),
+    both exactly monic in Y, with f = G*H modulo u^prec.
     """
-    G, H = list(g0), list(h0)
-    s, t = list(bez_s), list(bez_t)
+    one = Poly.one(f.field)
     cur = 1
     while cur < prec:
         nxt = min(2 * cur, prec)
-        e = _ysub([_ser_trunc(c, nxt) for c in f], _ymul(G, H, nxt, field), field)
+        f_nxt = _trunc(f, nxt)
+        e = _trunc(f_nxt - G * H, nxt)
         if e:
-            r = _ydivmod_monic(_ymul(s, e, nxt, field), G, nxt, field)[1]
-            G = _yadd(G, r, field)
-            H, rem = _ydivmod_monic([_ser_trunc(c, nxt) for c in f], G, nxt, field)
-            if _ytrim(rem):
+            G = G + _trunc(_trunc(s * e, nxt) % G, nxt)
+            H, rem = (_trunc(x, nxt) for x in f_nxt.divmod(G))
+            if rem:
                 raise AssertionError("Hensel step lost divisibility")
         # refresh the Bezout pair to the new precision
-        b = _ysub(
-            _yadd(_ymul(s, H, nxt, field), _ymul(t, G, nxt, field), field),
-            [Poly.one(field)],
-            field,
-        )
+        b = _trunc(s * H + t * G, nxt) - one
         if b:
-            c, d = _ydivmod_monic(_ymul(s, b, nxt, field), G, nxt, field)
-            s = _ysub(s, d, field)
-            t = _ysub(_ysub(t, _ymul(t, b, nxt, field), field),
-                      _ymul(c, H, nxt, field), field)
+            c, d = (_trunc(x, nxt) for x in _trunc(s * b, nxt).divmod(G))
+            s = s - d
+            t = _trunc(t - t * b - c * H, nxt)
         cur = nxt
     return G, H
 
 
-def _hensel_list(f, parts, prec, field):
+def _hensel_list(f, parts, prec):
     """Lift a pairwise-coprime factorisation f = prod(parts) mod u, given as
     monic polynomials over the residue field, to precision prec (factor-tree
     multifactor lifting)."""
     if len(parts) == 1:
-        return [[_ser_trunc(c, prec) for c in f]]
+        return [_trunc(f, prec)]
     mid = len(parts) // 2
     g0 = parts[0]
     for pp in parts[1:mid]:
@@ -214,22 +180,20 @@ def _hensel_list(f, parts, prec, field):
     for pp in parts[mid + 1:]:
         h0 = h0 * pp
     _, u, v = poly_xgcd(h0, g0)  # u*h0 + v*g0 = 1
-    g0_l = [Poly.const(field, c) for c in g0.coeffs]
-    h0_l = [Poly.const(field, c) for c in h0.coeffs]
-    s_l = [Poly.const(field, c) for c in u.coeffs]
-    t_l = [Poly.const(field, c) for c in v.coeffs]
-    G, H = _hensel_pair(f, g0_l, h0_l, s_l, t_l, prec, field)
-    return (_hensel_list(G, parts[:mid], prec, field)
-            + _hensel_list(H, parts[mid:], prec, field))
+    ring = f.field
+    G, H = _hensel_pair(
+        f, *(a.map_coeffs(lambda c: Poly.const(ring.base, c), ring)
+             for a in (g0, h0, u, v)), prec)
+    return _hensel_list(G, parts[:mid], prec) + _hensel_list(H, parts[mid:], prec)
 
 
 # ---------------------------------------------------------------------------
 # The squarefree separable case
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(s_poly: Poly):
-    """Monic S over GF(q)(t)  ->  the coefficients of the primitive F in
-    GF(q)[t][Y] proportional to S (ascending in Y)."""
+def _clear_denominators(s_poly: Poly) -> Poly:
+    """Monic S over GF(q)(t)  ->  the primitive F in GF(q)[t][Y]
+    proportional to S."""
     _, cleared = common_denominator(s_poly.coeffs)
     content = Poly.zero(s_poly.field.base)
     for c in cleared:
@@ -237,7 +201,7 @@ def _clear_denominators(s_poly: Poly):
             content = poly_gcd(content, c) if content else c.monic()
     if content.degree > 0:
         cleared = [c.divmod(content)[0] if c else c for c in cleared]
-    return cleared
+    return Poly(_PolyRing(s_poly.field.base), cleared)
 
 
 def _shift_series(c: Poly, t0, emb: FieldEmbedding) -> Poly:
@@ -275,76 +239,64 @@ def _factor_squarefree_separable(s_poly: Poly, rng) -> list[Poly]:
     base = ratfield.base
     if s_poly.degree == 1:
         return [s_poly]
-    cleared = _clear_denominators(s_poly)
-    deg_t = max(c.degree for c in cleared if c)
+    F = _clear_denominators(s_poly)
+    deg_t = max(c.degree for c in F.coeffs)
     if deg_t == 0:
         # constant coefficients: factor directly over GF(q)
-        fq_poly = Poly(base, [c.coeff(0) for c in cleared])
+        fq_poly = Poly(base, [c.coeff(0) for c in F.coeffs])
         return [
             f.map_coeffs(ratfield.from_base, ratfield)
             for f, _ in poly_factor_fq(fq_poly, rng)
         ]
     prec = 2 * deg_t + 1
-    lc_t = cleared[-1]
-    dfdy = _ytrim([
-        cleared[i].scale(base.from_int(i)) for i in range(1, len(cleared))
-    ])
     for emb in _spec_fields(base, rng):
         big = emb.big
+        F_big = F.map_coeffs(lambda c: c.map_coeffs(emb.map, big), _PolyRing(big))
         for t0 in big.all_elements():
-            if not lc_t.map_coeffs(emb.map, big).eval(t0):
+            if not F_big.lc.eval(t0):
                 continue
-            spec = Poly(big, [c.map_coeffs(emb.map, big).eval(t0) for c in cleared])
-            spec_d = Poly(big, [c.map_coeffs(emb.map, big).eval(t0) for c in dfdy])
-            if poly_gcd(spec, spec_d).degree != 0:
+            spec = F_big.map_coeffs(lambda c: c.eval(t0), big)
+            if poly_gcd(spec, spec.derivative()).degree != 0:
                 continue
-            return _lift_and_recombine(s_poly, cleared, t0, emb, prec, rng)
+            return _lift_and_recombine(s_poly, F, t0, emb, prec, rng)
     raise NoGoodSpecialization(
         "no squarefree degree-preserving evaluation point up to GF(q^4)"
     )
 
 
-def _lift_and_recombine(s_poly, cleared, t0, emb, prec, rng):
+def _lift_and_recombine(s_poly, F, t0, emb, prec, rng):
     big = emb.big
     # series picture around t0
-    coeffs_u = [_shift_series(c, t0, emb) for c in cleared]
-    lc_u = coeffs_u[-1]
-    lc_inv = _ser_inv(lc_u, prec)
-    f_mon = [_ser_trunc(c * lc_inv, prec) for c in coeffs_u]
-    spec = Poly(big, [c.coeff(0) for c in f_mon])
+    F_u = F.map_coeffs(lambda c: _shift_series(c, t0, emb), _PolyRing(big))
+    f_mon = _trunc(F_u.scale(_ser_inv(F_u.lc, prec)), prec)
+    spec = Poly(big, [c.coeff(0) for c in f_mon.coeffs])
     parts = [f for f, _ in poly_factor_fq(spec, rng)]
     if len(parts) == 1:
         return [s_poly]
-    lifted = _hensel_list(f_mon, parts, prec, big)
+    lifted = _hensel_list(f_mon, parts, prec)
 
     found = []
     remaining = s_poly
     indices = list(range(len(lifted)))
-    while True:
+    while indices:
         # the leading Y-coefficient of the cleared remaining polynomial, as a
         # series in u: a true factor times it lands in GF(q)[t] within
         # precision
         den_cur, _ = common_denominator(remaining.coeffs)
-        lead = _ser_trunc(_shift_series(den_cur, t0, emb), prec)
-        hit = None
-        max_size = len(indices) // 2
-        for size in range(1, max_size + 1):
-            for subset in itertools.combinations(indices, size):
-                cand = _candidate_factor(
-                    remaining, lead, lifted, subset, t0, emb, prec)
-                if cand is not None:
-                    hit = (subset, cand)
-                    break
-            if hit:
+        lead = _shift_series(den_cur, t0, emb)._truncate(prec)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(indices, size)
+            for size in range(1, len(indices) // 2 + 1))
+        for subset in subsets:
+            cand = _candidate_factor(
+                remaining, lead, lifted, subset, t0, emb, prec)
+            if cand is not None:
                 break
-        if hit is None:
+        else:
             break
-        subset, (factor, quotient) = hit
+        factor, remaining = cand
         found.append(factor)
-        remaining = quotient
         indices = [i for i in indices if i not in subset]
-        if not indices:
-            break
     if remaining.degree > 0:
         found.append(remaining)
     return sorted(found, key=lambda f: f.sort_key())
@@ -355,13 +307,12 @@ def _candidate_factor(remaining, lead, lifted, subset, t0, emb, prec):
     remaining's common denominator; on success return (monic factor over
     GF(q)(t), quotient)."""
     ratfield = remaining.field
-    big = emb.big
-    prod = [lead]
+    prod = Poly.const(lifted[0].field, lead)
     for i in subset:
-        prod = _ymul(prod, lifted[i], prec, big)
+        prod = _trunc(prod * lifted[i], prec)
     # back to the t variable, then down to GF(q)
     coeffs_t = []
-    for c in prod:
+    for c in prod.coeffs:
         c_t = _unshift_to_t(c, t0)
         down = []
         for e in c_t.coeffs:

@@ -507,3 +507,31 @@ def test_product_and_quotient_bounds():
     assert parse_ypoly("Y^512*Y^512", F3).degree == 1024
     assert parse_ypoly("t^30000*t^35536", F3).coeff(0).num.degree == 65536
     assert parse_ypoly("t^30000/t^35536", F3).coeff(0).den.degree == 5536
+
+
+def test_oversized_product_builds_no_operand(monkeypatch):
+    import oredecomp.cli as cli
+
+    calls = []
+    power = cli.binary_power
+
+    def spy(x, e, one):
+        calls.append(e)
+        return power(x, e, one)
+
+    monkeypatch.setattr(cli, "binary_power", spy)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator("D^1024*D^1024", fq_make(3))
+    assert err.value.position == 6
+    assert calls == []
+    # the estimate is read off the text: cancelling terms still count
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator("(D - D)^5000", fq_make(3))
+    assert err.value.position == 7
+    assert calls == []
+    # a sum of fractions outgrows its estimate (t-degree 3, not 1): the
+    # bound holds on the built operand
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator("D - (1/t + 1/(t+1) + 1/(t+2))^30000", fq_make(5))
+    assert err.value.position == 29
+    assert calls == []

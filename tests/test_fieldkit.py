@@ -39,6 +39,7 @@ from helpers import (
     ref_repr,
     ref_scale,
     ref_sub,
+    ref_trim,
     ref_xgcd,
 )
 
@@ -461,6 +462,10 @@ def test_kernels_match_the_schoolbook_reference(p, n):
         _assert_matches(-A, ref_neg(a))
         _assert_matches(A.monic(), ref_monic(a))
         _assert_matches(A.derivative(), ref_derivative(a))
+        # mod x^k for k below, at and above the length; coefficients in GF(p)
+        # (top coordinate 0 when n > 1) end some of the slices
+        for k in {0, 1, len(a) // 2, len(a) - 1, len(a), len(a) + 1} - {-1}:
+            _assert_matches(A._truncate(k), ref_trim(a[:k]))
         for c in scalars:
             _assert_matches(A.scale(c), ref_scale(a, c))
             assert A.eval(c) == ref_eval(a, c)

@@ -193,3 +193,65 @@ def test_factor_deep_descent(p, n):
     assert prod == q
     assert dict(factors) == expected
     assert not is_separable_irreducible(E) and is_separable_irreducible(B)
+
+
+# Factorisations recorded as printed text, one case per path of the
+# specialise / lift / recombine pipeline; the comment names the path.
+_PINNED_FACTORISATIONS = [
+    # GF(2) has no good point: specialised into GF(4), pulled back by preimage
+    (2, 1, "(Y^2 + t*Y + 1)*(Y^2 + Y + t)*(Y + t^2 + 1)",
+     [("Y + t^2+1", 1), ("Y^2 + (t)*Y + 1", 1), ("Y^2 + Y + t", 1)]),
+    # descent through Y^2 + t (inseparable), then specialised into GF(4)
+    (2, 1, "(Y^2 + t)*(Y + t)^2*(Y^2 + Y + t)",
+     [("Y + t", 2), ("Y^2 + t", 1), ("Y^2 + Y + t", 1)]),
+    # four local factors over GF(9), two of them one global quadratic
+    (3, 1, "(Y^2 - t)*(Y^2 - t - 1)*(Y - t^2)",
+     [("Y + 2*t^2", 1), ("Y^2 + 2*t", 1), ("Y^2 + 2*t+2", 1)]),
+    # cleared leading coefficient t: the point t0 = 0 is skipped
+    (3, 1, "(t*Y^2 - t - 1)*(Y - t^2)",
+     [("Y + 2*t^2", 1), ("Y^2 + (2*t+2)/(t)", 1)]),
+    # multiplicities p and 2, and the inseparable Y^3 - t
+    (3, 1, "(Y^3 - t)*(Y - t)^3*(Y^2 - t)^2",
+     [("Y + 2*t", 3), ("Y^2 + 2*t", 2), ("Y^3 + 2*t", 1)]),
+    # Y + t^4 and Y + t meet at every point of GF(4): specialised into GF(16)
+    (2, 2, "(Y + t^4)*(Y + t)*(Y^2 + t*Y + g)",
+     [("Y + t", 1), ("Y + t^4", 1), ("Y^2 + (t)*Y + g", 1)]),
+    # cleared leading coefficient t over GF(4): t0 = 0 is skipped
+    (2, 2, "(t*Y^2 + Y + g)*(Y^2 + t)",
+     [("Y^2 + (1)/(t)*Y + (g)/(t)", 1), ("Y^2 + t", 1)]),
+    # the descent alone: every factor is found by coefficient p-th roots
+    (2, 2, "(Y^2 + g*t)^2*(Y + g*t)^3",
+     [("Y + g*t", 3), ("Y^2 + g*t", 2)]),
+    (3, 2, "(Y^2 - g*t)*(Y^2 - t - 1)*(Y - g)",
+     [("Y + (2*g)", 1), ("Y^2 + (2*g)*t", 1), ("Y^2 + 2*t+2", 1)]),
+    (3, 2, "(Y^3 - g*t)*(Y - g*t)^3*(Y^3 - t^3*Y - 1)",
+     [("Y + (2*g)*t", 3), ("Y^3 + (2*t^3)*Y + 2", 1), ("Y^3 + (2*g)*t", 1)]),
+    # t0 = 0 skipped; five local factors, a pair of them recombined
+    (17, 1, "(t*Y^2 - t - 3)*(Y^2 - t - 1)*(Y - 5*t)",
+     [("Y + 12*t", 1), ("Y^2 + (16*t+14)/(t)", 1), ("Y^2 + 16*t+16", 1)]),
+    # four local factors, recombined as a pair
+    (17, 1, "(Y^3 - t)*(Y^3 - t - 1)",
+     [("Y^3 + 16*t", 1), ("Y^3 + 16*t+16", 1)]),
+    (17, 1, "(Y^17 - t)*(Y^2 - t)^17*(Y - 3)",
+     [("Y + 14", 1), ("Y^2 + 16*t", 17), ("Y^17 + 16*t", 1)]),
+]
+
+
+def test_pinned_factorisations(monkeypatch):
+    import oredecomp.yfactor as yf
+    from oredecomp.cli import parse_ypoly
+    from oredecomp.serialize import ypoly_str
+
+    pulled_back = []
+    preimage = yf.FieldEmbedding.preimage
+
+    def spy(emb, b):
+        pulled_back.append(emb.small != emb.big)
+        return preimage(emb, b)
+
+    monkeypatch.setattr(yf.FieldEmbedding, "preimage", spy)
+    for p, n, text, expected in _PINNED_FACTORISATIONS:
+        q = parse_ypoly(text, fq_make(p, n)).monic()
+        got = [(ypoly_str(f), m) for f, m in factor_monic_in_y(q)]
+        assert got == expected, (p, n, text)
+    assert any(pulled_back)
