@@ -72,7 +72,8 @@ _MAX_NESTING = 100
 # a^e, a*b and a/b are refused when their result would exceed these sizes
 # (degree in D or Y, and t-degree of a coefficient's numerator or
 # denominator), estimated as e times the size of a, or as the sum of the
-# sizes of a and b; they refuse absurd inputs, not slow ones
+# sizes of a and b, except that an operator product A*B has t-degree
+# t(A) + (ord A + 1) t(B); they refuse absurd inputs, not slow ones
 _MAX_POWER_DEGREE = 1024
 _MAX_POWER_T_DEGREE = 65536
 
@@ -163,9 +164,15 @@ class _Parser:
             op, _, pos = self.next()
             rhs = self.factor()
             (da, ta), (db, tb) = _size(value), _size(rhs)
-            self.refuse_oversized(da + db, ta + tb, pos,
-                                  "product" if op == "*" else "quotient")
-            if op == "*":
+            if op == "*" and self.algebra.var == "D":
+                # D^i B holds up to i derivatives of B's coefficients, each
+                # with its denominator raised to one more power
+                tb *= da + 1
+            size = _Size((da + db, ta + tb))
+            self.refuse_oversized(*size, pos, "product" if op == "*" else "quotient")
+            if isinstance(value, _Size):
+                value = size
+            elif op == "*":
                 value = value * rhs
             else:
                 value = self.algebra.div(value, rhs, pos)
@@ -251,15 +258,13 @@ class _Algebra:
 
 class _Size(tuple):
     """A size estimate (degree in D or Y, t-degree) in place of a value:
-    sums and differences take the larger size, products add sizes."""
+    sums and differences take the larger size; the parser sizes products
+    and quotients itself."""
 
     def __add__(self, other):
         return _Size(map(max, self, other))
 
     __sub__ = __add__
-
-    def __mul__(self, other):
-        return _Size((self[0] + other[0], self[1] + other[1]))
 
 
 class _SizeAlgebra:
@@ -277,9 +282,6 @@ class _SizeAlgebra:
 
     def symbol(self, name, pos):
         return _Size((1, 0) if name == self.var else (0, 1) if name == "t" else (0, 0))
-
-    def div(self, a, b, pos):
-        return a * b
 
     def pow(self, a, e):
         return _Size((e * a[0], e * a[1]))

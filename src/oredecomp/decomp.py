@@ -50,7 +50,7 @@ from .errors import (
     ZeroOperator,
 )
 from .fieldkit import Poly, RatFuncField
-from .linalg import DependencyFinder, Matrix, kernel_basis, mat_eval_poly
+from .linalg import Matrix, first_dependency, kernel_basis, mat_eval_poly
 from .ore import (
     OrePoly,
     gcrd,
@@ -174,12 +174,15 @@ def _block(L: OrePoly, part, data: PCurvData) -> OrePoly:
     operator with coordinates N(Psi) e_0, where Psi = data.matrix is the
     p-curvature of L read from the run's record and N(Y^p) = prod N_*^(p nu).
     D^p is central and N's coefficients lie in GF(q)(t^p), so N(Psi) e_0 =
-    N(D^p) mod L, of order < ord L.  W = 0 (part holds every factor) gives
-    monic L."""
+    N(D^p) mod L, of order < ord L.  When part holds every factor of Q_m to
+    at least its power there, the minimal polynomial P_m of Psi divides N,
+    so W = 0 and the block is monic L, with no matrix to evaluate."""
+    nus = dict(part)
+    if all(nus.get(n_star, 0) >= nu for n_star, nu in data.root_factors):
+        return L.monic()
     root = math.prod((n_star ** nu for n_star, nu in part), start=Poly.one(L.field))
     n_psi = mat_eval_poly(ypoly_from_constants(ypoly_pth_power(root)), data.matrix)
-    w = OrePoly(L.field, [row[0] for row in n_psi.rows])
-    return gcrd(L, w) if w else L.monic()
+    return gcrd(L, OrePoly(L.field, [row[0] for row in n_psi.rows]))
 
 
 def first_decomposition(L: OrePoly):
@@ -191,7 +194,8 @@ def first_decomposition(L: OrePoly):
     if not L:
         raise ZeroOperator("first decomposition of the zero operator")
     data = pcurv_data(L)
-    factors = separable_factors(invariants_pth_root(data.charpoly))
+    root = invariants_pth_root(data.charpoly)  # Q_m's factors, to higher powers
+    factors = [(n_star, _multiplicity(n_star, root)) for n_star, _ in data.root_factors]
     out = [(_block(L, [(n_star, nu)], data), n_star, nu) for n_star, nu in factors]
     if sum(li.order for li, _, _ in out) != L.order:
         raise VerificationFailed("first decomposition lost order")
@@ -206,22 +210,20 @@ def minimal_rational_multiple(R: OrePoly, ext: ExtField) -> OrePoly:
     """The minimal-order monic operator over GF(q)(t) that is a left multiple
     of R in K<D>.
 
-    The remainders of D^k modulo R, stepped by R's companion connection, are
-    flattened to GF(q)(t) coordinates (dimension ord R * deg K); the first
-    linear dependency gives the multiple."""
+    The remainders of D^k modulo R, k = 0 .. dim, stepped by R's companion
+    connection, are flattened to GF(q)(t) coordinates (dimension
+    dim = ord R * deg K); their first linear dependency
+    (linalg.first_dependency) gives the multiple."""
     if not R:
         raise ZeroOperator("minimal multiple of the zero operator")
     ratfield = ext.ratfield
     tail = R.monic().coeffs[:-1]
-    dim = R.order * ext.deg
-    finder = DependencyFinder(ratfield, dim)
     cur = [ext.one if j == 0 else ext.zero for j in range(R.order)]
-    for _ in range(dim + 1):
-        combo = finder.offer([x for c in cur for x in c.coords])
-        if combo is not None:
-            return OrePoly(ratfield, combo)
+    images = [[x for c in cur for x in c.coords]]
+    for _ in range(R.order * ext.deg):
         cur = times_d_mod(cur, tail, ext)
-    raise AssertionError("rational multiple must exist by order %d" % dim)
+        images.append([x for c in cur for x in c.coords])
+    return OrePoly(ratfield, first_dependency(ratfield, images))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,7 @@ def _propagate(L: OrePoly, m_op: OrePoly, pieces) -> list[OrePoly]:
     m_vec = ore_rem(m_op, L).coeffs
     out = []
     for piece in pieces:
-        w = OrePoly(L.field, mul_mod(piece, m_vec, L))
-        out.append(gcrd(L, w) if w else L.monic())
+        out.append(gcrd(L, OrePoly(L.field, mul_mod(piece, m_vec, L))))
     return out
 
 

@@ -5,9 +5,10 @@ K = GF(q)(t)[a]: the only requirements on the field object are ``zero``,
 ``one``, ``from_int`` and elements with exact operator overloads.
 
 Provides reduced row echelon form, kernels (over GF(q)(t) by fraction-free
-elimination on polynomial entries), linear solving, the Berkowitz
-(division-free) characteristic polynomial, and invariant factors through the
-Smith normal form of Y*I - A over the polynomial ring.
+elimination on polynomial entries), first linear dependencies read off that
+same kernel, linear solving, the Berkowitz (division-free) characteristic
+polynomial, and invariant factors through the Smith normal form of Y*I - A
+over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -237,43 +238,42 @@ def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
-class DependencyFinder:
-    """Incremental linear dependency detection over a field.
+def first_dependency(field, vectors):
+    """The first linear dependency in a list of vectors of one dimension:
+    the first vector c of kernel_basis on the matrix whose columns are the
+    vectors, so sum c_i v_i = 0 with a 1 at the first vector in the span of
+    the earlier ones and zeros after it.  None when the vectors are
+    independent; [one] when every vector is empty."""
+    if not vectors[0]:
+        return [field.one]
+    kernel = kernel_basis(Matrix(field, list(zip(*vectors))))
+    return list(kernel[0]) if kernel else None
 
-    Vectors are offered one at a time; the first vector lying in the span of
-    the previously offered ones is reported together with the combination
-    expressing it (coefficients indexed by offer order, with a trailing 1 for
-    the vector itself, so that the combination sums to zero).
-    """
+
+class DependencyFinder:
+    """first_dependency with the vectors offered one at a time: an offer
+    returns None while the offered vectors stay independent, and the first
+    dependent vector's combination (indexed by offer order, with a trailing
+    1) otherwise.  A dependent vector does not join the span."""
 
     def __init__(self, field, dim):
         self.field = field
         self.dim = dim
-        self._rows = []  # (pivot index, reduced row, combination row)
+        self._basis = []  # (offer index, vector) of the independent vectors
         self._count = 0
 
     def offer(self, vec):
-        field = self.field
-        v = list(vec)
-        combo = [field.zero] * self._count + [field.one]
-        for piv, row, rcombo in self._rows:
-            c = v[piv]
-            if c:
-                for i, x in enumerate(row):
-                    if x:
-                        v[i] = v[i] - c * x
-                for i, x in enumerate(rcombo):
-                    if x:
-                        combo[i] = combo[i] - c * x
+        vec = tuple(vec)
+        index = self._count
         self._count += 1
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return combo
-        inv = v[piv].inv()
-        v = [x * inv for x in v]
-        combo = [x * inv for x in combo]
-        self._rows.append((piv, v, combo))
-        return None
+        combo = first_dependency(self.field, [v for _, v in self._basis] + [vec])
+        if combo is None:
+            self._basis.append((index, vec))
+            return None
+        out = [self.field.zero] * index + [self.field.one]
+        for (i, _), c in zip(self._basis, combo):
+            out[i] = c
+        return out
 
 
 # ---------------------------------------------------------------------------

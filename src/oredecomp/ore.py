@@ -23,7 +23,7 @@ from .errors import (
     ZeroOperator,
 )
 from .fieldkit import CoeffSeq, RatFuncField, binary_power, common_denominator
-from .linalg import DependencyFinder
+from .linalg import first_dependency
 
 
 class OrePoly(CoeffSeq):
@@ -164,9 +164,10 @@ def mul_mod(A: OrePoly, v, L: OrePoly):
 
 def lclm(ops) -> OrePoly:
     """The monic least common left multiple of a nonempty list of nonzero
-    operators: the first linear dependency among the images of 1, D, D^2, ...
-    in the direct sum of their quotient modules.  A unit's module is zero and
-    adds nothing to the sum."""
+    operators: the first linear dependency (linalg.first_dependency) among
+    the images of 1, D, ..., D^dim in the direct sum of their quotient
+    modules, dim the sum of the orders.  A unit's module is zero and adds
+    nothing to the sum."""
     ops = list(ops)
     if not ops:
         raise ZeroOperator("LCLM of an empty list")
@@ -176,16 +177,13 @@ def lclm(ops) -> OrePoly:
     for op in ops[1:]:
         ops[0]._check(op)
     tails = [op.monic().coeffs[:-1] for op in ops]
-    dim = sum(len(tail) for tail in tails)
-    finder = DependencyFinder(field, dim)
     cur = [[field.one if j == 0 else field.zero for j in range(len(tail))]
            for tail in tails]
-    for _ in range(dim + 1):
-        combo = finder.offer([c for v in cur for c in v])
-        if combo is not None:
-            return OrePoly(field, combo)
+    images = [[c for v in cur for c in v]]
+    for _ in range(len(images[0])):
         cur = [times_d_mod(v, tail, field) for v, tail in zip(cur, tails)]
-    raise AssertionError("LCLM dependency must appear by order %d" % dim)
+        images.append([c for v in cur for c in v])
+    return OrePoly(field, first_dependency(field, images))
 
 
 def shift_partial(A: OrePoly, g) -> OrePoly:

@@ -161,36 +161,21 @@ def matrix_to_constants(M: Matrix) -> Matrix | None:
     return Matrix(M.field, rows)
 
 
-def _charpoly_over_constants(M: Matrix) -> Poly:
+def _to_constants(polys, what: str) -> list[Poly]:
+    """Polynomials over GF(q)(t) derived from the p-curvature, re-read over
+    GF(q)(s); ``what`` names them when one escapes GF(q)(t^p)."""
     try:
-        return ypoly_to_constants(char_poly(M))
+        return [ypoly_to_constants(P) for P in polys]
     except ConstantFieldViolation:
         raise ConstantFieldViolation(
-            "characteristic polynomial of the p-curvature escaped GF(q)(t^p)"
+            "%s of the p-curvature escaped GF(q)(t^p)" % what
         )
 
 
 def pcurv_charpoly(L: OrePoly) -> Poly:
     """chi(psi_p^L) as a monic polynomial over GF(q)(s)."""
-    return _charpoly_over_constants(pcurvature_matrix(L))
-
-
-def _invariants_over_constants(M: Matrix, chi: Poly) -> list[Poly]:
-    """The nontrivial invariant factors of M, over GF(q)(s), given its
-    characteristic polynomial chi over GF(q)(s).
-
-    A squarefree chi is its own minimal polynomial (the minimal polynomial
-    contains every irreducible factor of chi), hence the only invariant
-    factor; only an inseparable chi, e.g. one with chi' = 0, needs the Smith
-    form."""
-    if poly_gcd(chi, chi.derivative()).degree == 0:
-        return [chi]
-    try:
-        return [ypoly_to_constants(P) for P in invariant_factors(M)]
-    except ConstantFieldViolation:
-        raise ConstantFieldViolation(
-            "invariant factors of the p-curvature escaped GF(q)(t^p)"
-        )
+    return _to_constants([char_poly(pcurvature_matrix(L))],
+                         "characteristic polynomial")[0]
 
 
 def frobenius_invariants(L: OrePoly) -> list[Poly]:
@@ -229,8 +214,15 @@ class PCurvData:
 def pcurv_data(L: OrePoly) -> PCurvData:
     """Assemble and cross-check the full p-curvature record of L."""
     M = pcurvature_matrix(L)
-    cp = _charpoly_over_constants(M)
-    invs = _invariants_over_constants(M, cp)
+    cp = _to_constants([char_poly(M)], "characteristic polynomial")[0]
+    # A squarefree chi is its own minimal polynomial (the minimal polynomial
+    # contains every irreducible factor of chi), hence the only invariant
+    # factor; only an inseparable chi, e.g. one with chi' = 0, needs the
+    # Smith form.
+    if poly_gcd(cp, cp.derivative()).degree == 0:
+        invs = [cp]
+    else:
+        invs = _to_constants(invariant_factors(M), "invariant factors")
     prod = Poly.one(L.field)
     for P in invs:
         prod = prod * P

@@ -535,3 +535,38 @@ def test_oversized_product_builds_no_operand(monkeypatch):
         parse_operator("D - (1/t + 1/(t+1) + 1/(t+2))^30000", fq_make(5))
     assert err.value.position == 29
     assert calls == []
+
+
+def test_ore_product_bound(capsys, monkeypatch):
+    # D^i B holds up to i derivatives of B's coefficients: the t-degree of
+    # an operator product A*B is estimated as t(A) + (ord A + 1) t(B)
+    import time
+
+    import oredecomp.cli as cli
+
+    start = time.perf_counter()
+    assert run(["decompose", "--p", "3", "--expr", "D^1024*(1/(t^64+1))"]) == 2
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["class"] == "ExprSyntaxError"
+    assert doc["error"].startswith("product too large")
+    assert doc["error"].endswith("(at position 6)")
+    calls = []
+    power = cli.binary_power
+    monkeypatch.setattr(cli, "binary_power",
+                        lambda x, e, one: calls.append(e) or power(x, e, one))
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator("D^1024*(1/(t^64+1))", fq_make(3))
+    assert err.value.position == 6 and calls == []
+    # the built operand counts too: this sum of fractions estimates t-degree
+    # 300 but has 900, and 101 * 900 exceeds the bound
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_operator("D^100*(1/t + 1/(t+1) + 1/(t+2))^300", fq_make(5))
+    assert err.value.position == 5 and calls == [100, 300]
+    F101 = fq_make(101)
+    L = parse_operator("D^8*(1/(t^3+t+1))", F101)
+    assert L.order == 8
+    assert max(c.den.degree for c in L.coeffs) == 27
+    assert parse_operator("(1/(t^64+1))*D^8", fq_make(3)).order == 8
+    # polynomials in Y commute: their products keep the plain sum
+    assert parse_ypoly("Y^1024*(1/(t^64+1))", fq_make(3)).degree == 1024

@@ -774,3 +774,38 @@ def test_blocks_never_divide_an_operator_longer_than_l(monkeypatch, p, n):
     assert report.verified and len(report.factors) == 2
     assert operands
     assert all(max(pair) <= L.order and min(pair) < L.order for pair in operands)
+
+
+def test_a_block_holding_every_factor_evaluates_no_matrix_polynomial(monkeypatch):
+    # when a block's part holds every irreducible factor of chi, N(Psi) is a
+    # multiple of the minimal polynomial, so W = 0 and the block is monic L
+    import oredecomp.decomp as decomp_mod
+    from oredecomp.linalg import mat_eval_poly
+
+    calls = []
+
+    def counting(P, M):
+        calls.append(P)
+        return mat_eval_poly(P, M)
+
+    monkeypatch.setattr(decomp_mod, "mat_eval_poly", counting)
+    R3, t3, D3, _ = _setup(3)
+    R5, t5, D5, _ = _setup(5)
+    airy = ore_pow(D5, 2) - OrePoly.const(R5, t5)  # chi's root Y^2 - t
+    single = (_irreducible_central(R3, t3), ore_pow(D3, 3), airy)
+    for L in single:
+        calls.clear()
+        (part,) = first_decomposition(L)
+        assert part[0] == L.monic()
+        report = lclm_decompose(L, seed=0)
+        assert report.verified
+        assert calls == []
+    assert lclm_decompose(airy, seed=0).factors == (airy,)
+    for L in (ore_pow(D3, 2) - D3, ore_pow(D5, 2) - OrePoly.const(R5, t5 * t5)):
+        calls.clear()
+        parts = first_decomposition(L)
+        assert len(parts) == 2 and len(calls) == 2
+        calls.clear()
+        report = lclm_decompose(L, seed=0)
+        assert report.verified and len(report.factors) == 2
+        assert len(calls) == 2

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from oredecomp.algext import ExtElem, make_extension
 from oredecomp.errors import NotSquare
 from oredecomp.fieldkit import Poly, RatFuncField, fq_make
 from oredecomp.linalg import (
+    DependencyFinder,
     Matrix,
     char_poly,
+    first_dependency,
     invariant_factors,
     kernel_basis,
     mat_eval_poly,
@@ -14,7 +17,7 @@ from oredecomp.linalg import (
     solve,
 )
 
-from helpers import char_poly_by_leibniz, kernel_basis_by_rref, rand_ratfunc
+from helpers import char_poly_by_leibniz, kernel_basis_by_rref, rand_ratfunc, ypoly
 
 
 def _fq_matrix(field, rows):
@@ -199,3 +202,62 @@ def test_invariant_factors_requires_square():
     F3 = fq_make(3)
     with pytest.raises(NotSquare):
         invariant_factors(Matrix.zero(F3, 2, 3))
+
+
+# -- first linear dependencies ---------------------------------------------------
+
+def _dependency_case(kind, rng):
+    """(field, scalar(), vector()) drawing dimension-4 vectors over GF(7),
+    GF(9), GF(5)(t), or K = GF(3)(t)[Y]/(Y^2 - t) flattened to GF(3)(t)
+    coordinates (scalars from GF(3)(t), which acts coordinatewise)."""
+    if kind in ("GF(7)", "GF(9)"):
+        field = fq_make(7) if kind == "GF(7)" else fq_make(3, 2)
+        scalar = lambda: field.random(rng)  # noqa: E731
+        return field, scalar, lambda: tuple(scalar() for _ in range(4))
+    field = RatFuncField(fq_make(5 if kind == "GF(5)(t)" else 3))
+    scalar = lambda: rand_ratfunc(field, rng, 2, 1)  # noqa: E731
+    if kind == "GF(5)(t)":
+        return field, scalar, lambda: tuple(scalar() for _ in range(4))
+    ext = make_extension(ypoly(field, -field.t, 0, 1))
+
+    def flattened():
+        elems = [ExtElem(ext, [scalar(), scalar()]) for _ in range(2)]
+        return tuple(x for e in elems for x in e.coords)
+
+    return field, scalar, flattened
+
+
+@pytest.mark.parametrize("kind", ["GF(7)", "GF(9)", "GF(5)(t)", "K over GF(3)(t)"])
+def test_first_dependency_before_the_last_vector(kind):
+    rng = random.Random(77)
+    field, scalar, vector = _dependency_case(kind, rng)
+    one, z = field.one, field.zero
+    for _ in range(8):
+        while True:
+            u, w, x = vector(), vector(), vector()
+            if rank(Matrix(field, list(zip(u, w, x)))) == 3:
+                break
+        a, b = scalar(), scalar()
+        dep = tuple(a * ui + b * wi for ui, wi in zip(u, w))
+        vectors = [u, w, dep, x]
+        assert first_dependency(field, vectors) == [-a, -b, one, z]
+        assert first_dependency(field, [u, w, x]) is None
+        finder = DependencyFinder(field, 4)
+        assert finder.offer(u) is None and finder.offer(w) is None
+        assert finder.offer(dep) == [-a, -b, one]
+        # a dependent vector does not join the span; later combinations
+        # keep the offer order
+        assert finder.offer(x) is None
+        ux = tuple(ui + xi for ui, xi in zip(u, x))
+        assert finder.offer(ux) == [-one, z, z, -one, one]
+
+
+def test_first_dependency_in_dimension_zero():
+    for field in (fq_make(3), RatFuncField(fq_make(3))):
+        one = field.one
+        assert first_dependency(field, [()]) == [one]
+        assert first_dependency(field, [(), ()]) == [one]
+        assert DependencyFinder(field, 0).offer(()) == [one]
+        # a zero vector depends on nothing before it
+        assert first_dependency(field, [(field.zero,), (one,)]) == [one, field.zero]
+        assert DependencyFinder(field, 1).offer((field.zero,)) == [one]

@@ -159,6 +159,21 @@ def test_lclm_of_many_equals_nested_lclm(p, n):
             assert not ore_rem(L, op)
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2)])
+def test_lclm_of_operands_sharing_a_right_factor(p, n):
+    # LCLM(A C, B C) = LCLM(A, B) C: the first dependency comes before the
+    # last image of 1, D, ..., D^(ord AC + ord BC)
+    R, t, D, one = _setup(p, n)
+    rng = random.Random(90 + p)
+    for _ in range(4):
+        A, B, C = (rand_operator(R, rng, rng.randrange(1, 3), 1, 1).monic()
+                   for _ in range(3))
+        L = lclm([A * C, B * C])
+        assert L.order < (A * C).order + (B * C).order
+        assert L == lclm([A, B]) * C
+        assert L == lclm([lclm([A * C]), B * C]) == lclm([A * C, B * C, C])
+
+
 def test_order_identity_random():
     R, t, D, one = _setup(5)
     rng = random.Random(21)
