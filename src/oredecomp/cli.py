@@ -73,7 +73,8 @@ _MAX_NESTING = 100
 # (degree in D or Y, and t-degree of a coefficient's numerator or
 # denominator), estimated as e times the size of a, or as the sum of the
 # sizes of a and b, except that an operator product A*B has t-degree
-# t(A) + (ord A + 1) t(B); they refuse absurd inputs, not slow ones
+# t(A) + t(B) + ord A * tden(B), tden(B) the largest t-degree of a
+# denominator of B; they refuse absurd inputs, not slow ones
 _MAX_POWER_DEGREE = 1024
 _MAX_POWER_T_DEGREE = 65536
 
@@ -108,12 +109,14 @@ def _tokenize(text: str):
 
 
 def _size(value):
-    """The degree of an operator or Y-polynomial in its variable, and the
-    largest t-degree of a coefficient's numerator or denominator."""
+    """The degree of an operator or Y-polynomial in its variable, the
+    largest t-degree of a coefficient's numerator or denominator, and the
+    largest t-degree of a denominator."""
     if isinstance(value, _Size):
         return value
     return (len(value.coeffs) - 1,
-            max((max(c.num.degree, c.den.degree) for c in value.coeffs), default=0))
+            max((max(c.num.degree, c.den.degree) for c in value.coeffs), default=0),
+            max((c.den.degree for c in value.coeffs), default=0))
 
 
 class _Parser:
@@ -163,13 +166,18 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.next()
             rhs = self.factor()
-            (da, ta), (db, tb) = _size(value), _size(rhs)
-            if op == "*" and self.algebra.var == "D":
-                # D^i B holds up to i derivatives of B's coefficients, each
-                # with its denominator raised to one more power
-                tb *= da + 1
-            size = _Size((da + db, ta + tb))
-            self.refuse_oversized(*size, pos, "product" if op == "*" else "quotient")
+            (da, ta, sa), (db, tb, sb) = _size(value), _size(rhs)
+            if op == "/":
+                size = _Size((da + db, ta + tb, sa + tb))
+            elif self.algebra.var == "D":
+                # D^i B holds up to i derivatives of B's coefficients; each
+                # raises a denominator's power by one and a numerator's
+                # degree by at most tden(B)
+                size = _Size((da + db, ta + tb + da * sb, sa + (da + 1) * sb))
+            else:
+                size = _Size((da + db, ta + tb, sa + sb))
+            self.refuse_oversized(size[0], size[1], pos,
+                                  "product" if op == "*" else "quotient")
             if isinstance(value, _Size):
                 value = size
             elif op == "*":
@@ -186,7 +194,7 @@ class _Parser:
             if tok[0] != "uint":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", tok[2])
             e = tok[1]
-            degree, t_degree = _size(value)
+            degree, t_degree, _ = _size(value)
             self.refuse_oversized(e * degree, e * t_degree, pos, "power")
             value = self.algebra.pow(value, e)
         return value
@@ -257,9 +265,9 @@ class _Algebra:
 
 
 class _Size(tuple):
-    """A size estimate (degree in D or Y, t-degree) in place of a value:
-    sums and differences take the larger size; the parser sizes products
-    and quotients itself."""
+    """A size estimate (degree in D or Y, t-degree, denominator t-degree) in
+    place of a value: sums and differences take the larger size; the parser
+    sizes products and quotients itself."""
 
     def __add__(self, other):
         return _Size(map(max, self, other))
@@ -269,22 +277,24 @@ class _Size(tuple):
 
 class _SizeAlgebra:
     """Evaluation into size estimates read off the text: D or Y counts
-    (1, 0), t (0, 1), integers and g (0, 0).  A first parse on these refuses
-    an oversized power, product or quotient before any value is built; the
-    parse on values checks each bound again on the built operands, which can
-    outgrow the estimate (1/t + 1/(t+1) has t-degree 2)."""
+    (1, 0, 0), t (0, 1, 0), integers and g (0, 0, 0).  A first parse on these
+    refuses an oversized power, product or quotient before any value is
+    built; the parse on values checks each bound again on the built
+    operands, which can outgrow the estimate (1/t + 1/(t+1) has t-degree
+    2)."""
 
     def __init__(self, var: str):
         self.var = var
 
     def from_int(self, k):
-        return _Size((0, 0))
+        return _Size((0, 0, 0))
 
     def symbol(self, name, pos):
-        return _Size((1, 0) if name == self.var else (0, 1) if name == "t" else (0, 0))
+        return _Size((1, 0, 0) if name == self.var
+                     else (0, 1, 0) if name == "t" else (0, 0, 0))
 
     def pow(self, a, e):
-        return _Size((e * a[0], e * a[1]))
+        return _Size(e * x for x in a)
 
 
 def parse_operator(text: str, field: FqField) -> OrePoly:
@@ -387,13 +397,15 @@ def _cmd_pcurvature(args, field):
     L = parse_operator(_read_expr(args.expr[0]), field)
     start = time.perf_counter()
     data = pcurv_data(L.monic())
+    # the record reduces its matrix when first read: time that too
+    in_constants = data.matrix_constants is not None
     elapsed = round((time.perf_counter() - start) * 1000.0, 3)
     doc = {
         "input": operator_str(L),
         "field": _field_json(field),
         "monic_input": operator_str(L.monic()),
         "matrix": [[ratfunc_str(e) for e in row] for row in data.matrix.rows],
-        "matrix_in_constant_field": data.matrix_constants is not None,
+        "matrix_in_constant_field": in_constants,
         "char_poly": spoly_str(data.charpoly),
         "invariants": [spoly_str(P) for P in data.invariants],
         "invariant_roots": [ypoly_str(Q) for Q in data.invariant_roots],

@@ -7,8 +7,8 @@ has no inseparable irreducible factor, the pipeline:
    their p-th roots Q_1 | ... | Q_m over GF(q)(t);
 2. classifies each irreducible factor N_* of Q_m by its layers nu_N(Q_i);
    its primary block is GCRD(L, W), W the operator with coordinates
-   N^nu(Psi) e_0 = N^nu(D^p) mod L, read from the p-curvature matrix Psi
-   of step 1's record (L itself when W = 0);
+   N^nu(Psi) e_0 = N^nu(D^p) mod L, read from the polynomial numerators of
+   the p-curvature Psi in step 1's record (L itself when W = 0);
 3. emits a cyclic block (N_* only in Q_m) as it is: its decomposition is
    unique;
 4. emits a central block (m = p, N_* equal in every layer) as it is when its
@@ -50,7 +50,7 @@ from .errors import (
     ZeroOperator,
 )
 from .fieldkit import Poly, RatFuncField
-from .linalg import Matrix, first_dependency, kernel_basis, mat_eval_poly
+from .linalg import Matrix, first_dependency, frac_poly_e0, kernel_basis
 from .ore import (
     OrePoly,
     gcrd,
@@ -171,18 +171,21 @@ def check_hypothesis(L: OrePoly):
 def _block(L: OrePoly, part, data: PCurvData) -> OrePoly:
     """The right factor of L whose module is the sum of the N_*-primary parts
     of D_L for (N_*, nu) in part, nu >= nu_N(Q_m): GCRD(L, W), W the
-    operator with coordinates N(Psi) e_0, where Psi = data.matrix is the
-    p-curvature of L read from the run's record and N(Y^p) = prod N_*^(p nu).
-    D^p is central and N's coefficients lie in GF(q)(t^p), so N(Psi) e_0 =
-    N(D^p) mod L, of order < ord L.  When part holds every factor of Q_m to
+    operator with coordinates N(Psi) e_0, where Psi is the p-curvature of L
+    and N(Y^p) = prod N_*^(p nu).  D^p is central and N's coefficients lie
+    in GF(q)(t^p), so N(Psi) e_0 = N(D^p) mod L, of order < ord L.  The
+    vector comes from the run's record by Horner on Psi's polynomial
+    numerators over their one denominator (linalg.frac_poly_e0), so Psi's
+    reduced entries are not built.  When part holds every factor of Q_m to
     at least its power there, the minimal polynomial P_m of Psi divides N,
-    so W = 0 and the block is monic L, with no matrix to evaluate."""
+    so W = 0 and the block is monic L, with nothing to evaluate."""
     nus = dict(part)
     if all(nus.get(n_star, 0) >= nu for n_star, nu in data.root_factors):
         return L.monic()
     root = math.prod((n_star ** nu for n_star, nu in part), start=Poly.one(L.field))
-    n_psi = mat_eval_poly(ypoly_from_constants(ypoly_pth_power(root)), data.matrix)
-    return gcrd(L, OrePoly(L.field, [row[0] for row in n_psi.rows]))
+    n_e0 = frac_poly_e0(ypoly_from_constants(ypoly_pth_power(root)),
+                        data.numerators, data.denominator)
+    return gcrd(L, OrePoly(L.field, n_e0))
 
 
 def first_decomposition(L: OrePoly):

@@ -8,7 +8,9 @@ Provides reduced row echelon form, kernels (over GF(q)(t) by fraction-free
 elimination on polynomial entries), first linear dependencies read off that
 same kernel, linear solving, the Berkowitz (division-free) characteristic
 polynomial, and invariant factors through the Smith normal form of Y*I - A
-over the polynomial ring.
+over the polynomial ring.  Over GF(q)(t) a matrix may also be given as
+polynomial rows over one denominator (frac_char_poly, frac_poly_e0), so that
+nothing is reduced before the result.
 """
 
 from __future__ import annotations
@@ -313,9 +315,8 @@ def _berkowitz(rows, zero, one):
 def char_poly(M: Matrix) -> Poly:
     """The monic characteristic polynomial det(Y*I - A) of a square matrix.
 
-    Over a rational function field the common denominator d is factored out
-    first so the Berkowitz recursion runs on the polynomial entries of d*A,
-    in GF(q)[t] arithmetic, with one reduction per output coefficient.
+    Over a rational function field the common denominator of the entries is
+    factored out first and the polynomial entries go to frac_char_poly.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial of a non-square matrix")
@@ -324,20 +325,57 @@ def char_poly(M: Matrix) -> Poly:
     if n == 0:
         return Poly.one(field)
     if isinstance(field, RatFuncField):
-        base = field.base
         den, nums = common_denominator(e for r in M.rows for e in r)
-        rows = [nums[i:i + n] for i in range(0, n * n, n)]
-        C = _berkowitz(rows, Poly.zero(base), Poly.one(base))
-        # det(Y I - A) = d^-n det((d Y) I - d A): the Y^k coefficient of
-        # the polynomial-entry determinant gets divided by d^(n-k)
-        dpow = [Poly.one(base)]
-        for _ in range(n):
-            dpow.append(dpow[-1] * den)
-        # C[n - k] is the coefficient of Z^k in det(Z I - dA), Z = dY
-        return Poly(field, [RatFunc.make(field, C[n - k], dpow[n - k])
-                            for k in range(n + 1)])
+        return frac_char_poly(field, [nums[i:i + n] for i in range(0, n * n, n)], den)
     C = _berkowitz([list(r) for r in M.rows], field.zero, field.one)
     return Poly(field, list(reversed(C)))
+
+
+def frac_char_poly(field, rows, den: Poly) -> Poly:
+    """char_poly of A = rows / den over GF(q)(t), for rows a nonempty square
+    matrix over GF(q)[t] and den a nonzero polynomial: the Berkowitz
+    recursion runs on the polynomial rows, in GF(q)[t] arithmetic, with one
+    reduction per output coefficient."""
+    base = field.base
+    n = len(rows)
+    C = _berkowitz([list(r) for r in rows], Poly.zero(base), Poly.one(base))
+    # det(Y I - A) = den^-n det((den Y) I - rows): the Y^k coefficient of
+    # the polynomial-entry determinant gets divided by den^(n-k)
+    dpow = [Poly.one(base)]
+    for _ in range(n):
+        dpow.append(dpow[-1] * den)
+    # C[n - k] is the coefficient of Z^k in det(Z I - rows), Z = den Y
+    return Poly(field, [RatFunc.make(field, C[n - k], dpow[n - k])
+                        for k in range(n + 1)])
+
+
+def frac_poly_e0(P: Poly, rows, den: Poly) -> list:
+    """P(A) e_0 for A = rows / den as in frac_char_poly and P over GF(q)(t),
+    by Horner on polynomial vectors.  With P = sum (n_k / d) Y^k over one
+    denominator d and K = deg P,
+
+        d den^K P(A) e_0 = sum n_k den^(K-k) rows^k e_0,
+
+    accumulated as acc <- rows acc + n_k den^(K-k) e_0: r^2 products per
+    step where a matrix Horner takes r^3, and one reduction per
+    coordinate."""
+    field = P.field
+    if not P:
+        return [field.zero] * len(rows)
+    base = field.base
+    zero = Poly.zero(base)
+    d, nums = common_denominator(P.coeffs)
+    K = P.degree
+    dpow = [Poly.one(base)]
+    for _ in range(K):
+        dpow.append(dpow[-1] * den)
+    acc = [nums[K]] + [zero] * (len(rows) - 1)
+    for k in range(K - 1, -1, -1):
+        acc = [_dot(row, acc, zero) for row in rows]
+        if nums[k]:
+            acc[0] = acc[0] + nums[k] * dpow[K - k]
+    total = d * dpow[K]
+    return [RatFunc.make(field, a, total) for a in acc]
 
 
 def mat_eval_poly(P: Poly, M: Matrix) -> Matrix:

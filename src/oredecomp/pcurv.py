@@ -5,16 +5,20 @@ GF(q)(t)-linear endomorphism of the quotient module D_L given by left
 multiplication by D^p.  Its matrix in the power basis 1, D, ..., D^(r-1) is
 assembled from the remainders of D^(p+j) modulo L by a fraction-free
 recurrence: p + r - 1 steps of O(r) polynomial products over one common
-denominator, with a single reduction per output entry (Bostan-Schost,
-ISSAC 2009, for the fraction-free idea).
+denominator (Bostan-Schost, ISSAC 2009, for the fraction-free idea).  The
+result is kept as Psi = W / c, W a matrix over GF(q)[t] and c one
+denominator.
 
 The characteristic polynomial and the invariant factors of this map have
 coefficients in the constant subfield GF(q)(t^p) (the individual matrix
 entries generally do not; only a suitable basis makes the whole matrix
 constant).  Both are computed over GF(q)(t) and then re-expressed over
 GF(q)(s) with s = t^p; a failure of that re-expression indicates a bug and
-raises ConstantFieldViolation.  A squarefree characteristic polynomial is
-the only invariant factor; the Smith form runs only when it is not.
+raises ConstantFieldViolation.  The characteristic polynomial comes from
+the numerators W by Berkowitz, with r + 1 reductions.  The r^2 entries of
+Psi are reduced only when the matrix is read: by the CLI, by
+matrix_constants, or by the Smith form, which runs only for an inseparable
+characteristic polynomial (a squarefree one is the only invariant factor).
 
 The p-th roots Q_i of the invariant factors (Q_i^p(Y) = P_i(Y^p)) live over
 GF(q)(t) and drive the decomposition pipeline.
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConstantFieldViolation, InseparableFactor, ZeroOrder
-from .fieldkit import Poly, RatFunc, common_denominator, poly_gcd
-from .linalg import Matrix, char_poly, invariant_factors
+from .fieldkit import Poly, RatFunc, RatFuncField, common_denominator, poly_gcd
+from .linalg import Matrix, frac_char_poly, invariant_factors
 from .ore import OrePoly
 from .serialize import ypoly_str
 from .yfactor import factor_monic_in_y, is_separable_irreducible
@@ -102,9 +106,10 @@ def central_operator_from_constants(P: Poly) -> OrePoly:
 # The p-curvature matrix and its invariants
 # ---------------------------------------------------------------------------
 
-def pcurvature_matrix(L: OrePoly) -> Matrix:
-    """The matrix of multiplication by D^p on D_L in the power basis:
-    column j holds the coordinates of D^(p+j) mod L.
+def _pcurvature_fraction(L: OrePoly):
+    """The p-curvature of L as Psi = W / c, with W a matrix over GF(q)[t]
+    (returned as its rows) and c = den^(p+r-1): the one place the
+    recurrence runs.
 
     Fraction-free: with den the lcm of the denominators of the coefficients
     a_j of monic L and A_j = den * a_j, the coordinates of D^k mod L are
@@ -113,7 +118,7 @@ def pcurvature_matrix(L: OrePoly) -> Matrix:
 
         v_j <- den * (v_j' + v_(j-1)) - k * den' * v_j - v_(r-1) * A_j,
 
-    and each output entry is reduced once, as v_j / den^(p+i)."""
+    and column i of W is v (at k = p + i) times den^(r-1-i)."""
     if L.order < 1:
         raise ZeroOrder("p-curvature needs an operator of positive order")
     field = L.field
@@ -135,13 +140,25 @@ def pcurvature_matrix(L: OrePoly) -> Matrix:
         ]
         if k + 1 >= p:
             cols.append(v)
+    scale = Poly.one(base)
+    for i in range(r - 2, -1, -1):
+        scale = scale * den
+        cols[i] = [vj * scale for vj in cols[i]]
     # den^p is den with Frobenius-mapped coefficients, inflated by t -> t^p
-    den_k = field.from_poly(den).frobenius_coeffs().inflate(p).num
-    out = []
-    for col in cols:
-        out.append([RatFunc.make(field, vj, den_k) for vj in col])
-        den_k = den_k * den
-    return Matrix(field, list(zip(*out)))
+    c = field.from_poly(den).frobenius_coeffs().inflate(p).num * scale
+    return list(zip(*cols)), c
+
+
+def _reduced_matrix(field, rows, c: Poly) -> Matrix:
+    """W / c as a Matrix over GF(q)(t), one reduction per entry."""
+    return Matrix(field, [[RatFunc.make(field, w, c) for w in row] for row in rows])
+
+
+def pcurvature_matrix(L: OrePoly) -> Matrix:
+    """The matrix of multiplication by D^p on D_L in the power basis:
+    column j holds the coordinates of D^(p+j) mod L, each entry reduced
+    from W / c."""
+    return _reduced_matrix(L.field, *_pcurvature_fraction(L))
 
 
 def matrix_to_constants(M: Matrix) -> Matrix | None:
@@ -172,10 +189,15 @@ def _to_constants(polys, what: str) -> list[Poly]:
         )
 
 
+def _charpoly(field, rows, c: Poly) -> Poly:
+    """chi of Psi = W / c over GF(q)(s): chi(Y) = c^-r det(cY I - W)."""
+    return _to_constants([frac_char_poly(field, rows, c)],
+                         "characteristic polynomial")[0]
+
+
 def pcurv_charpoly(L: OrePoly) -> Poly:
     """chi(psi_p^L) as a monic polynomial over GF(q)(s)."""
-    return _to_constants([char_poly(pcurvature_matrix(L))],
-                         "characteristic polynomial")[0]
+    return _charpoly(L.field, *_pcurvature_fraction(L))
 
 
 def frobenius_invariants(L: OrePoly) -> list[Poly]:
@@ -187,24 +209,40 @@ def frobenius_invariants(L: OrePoly) -> list[Poly]:
 
 @dataclass(frozen=True)
 class PCurvData:
-    """The p-curvature matrix together with its derived invariants.
+    """The p-curvature Psi = W / c of L together with its derived
+    invariants; Psi's reduced entries are computed only when read.
 
-    matrix          -- over GF(q)(t), in the power basis of D_L
+    field           -- GF(q)(t)
+    numerators      -- the rows of W, a matrix over GF(q)[t] whose column i
+                       holds the coordinates of D^(p+i) mod L times c
+    denominator     -- c = den^(p+r-1), den the lcm of L's denominators
+    charpoly        -- monic chi over GF(q)(s), from W and c
+    matrix          -- Psi over GF(q)(t), in the power basis of D_L,
+                       reduced on first read
     matrix_constants-- over GF(q)(s) when the power-basis matrix happens to
                        be constant, else None
-    charpoly        -- monic chi over GF(q)(s)
-    invariants      -- P_1 | ... | P_m over GF(q)(s), m <= p
+    invariants      -- P_1 | ... | P_m over GF(q)(s), m <= p; the Smith form
+                       of matrix runs only for an inseparable chi
     invariant_roots -- Q_1 | ... | Q_m over GF(q)(t), Q_i^p(Y) = P_i(Y^p)
     root_factors    -- separable_factors(Q_m), [(N_*, nu_N(Q_m))]: the
                        irreducible factors of chi's p-th root, factored on
                        first read and kept with the record
     """
 
-    matrix: Matrix
-    matrix_constants: Matrix | None
+    field: RatFuncField
+    numerators: list
+    denominator: Poly
     charpoly: Poly
     invariants: list
     invariant_roots: list
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return _reduced_matrix(self.field, self.numerators, self.denominator)
+
+    @cached_property
+    def matrix_constants(self) -> Matrix | None:
+        return matrix_to_constants(self.matrix)
 
     @cached_property
     def root_factors(self):
@@ -212,18 +250,22 @@ class PCurvData:
 
 
 def pcurv_data(L: OrePoly) -> PCurvData:
-    """Assemble and cross-check the full p-curvature record of L."""
-    M = pcurvature_matrix(L)
-    cp = _to_constants([char_poly(M)], "characteristic polynomial")[0]
+    """Assemble and cross-check the full p-curvature record of L: one run
+    of the recurrence, chi from its numerators, and the invariants."""
+    field = L.field
+    rows, c = _pcurvature_fraction(L)
+    cp = _charpoly(field, rows, c)
     # A squarefree chi is its own minimal polynomial (the minimal polynomial
     # contains every irreducible factor of chi), hence the only invariant
     # factor; only an inseparable chi, e.g. one with chi' = 0, needs the
-    # Smith form.
+    # Smith form, and with it the reduced matrix.
+    M = None
     if poly_gcd(cp, cp.derivative()).degree == 0:
         invs = [cp]
     else:
+        M = _reduced_matrix(field, rows, c)
         invs = _to_constants(invariant_factors(M), "invariant factors")
-    prod = Poly.one(L.field)
+    prod = Poly.one(field)
     for P in invs:
         prod = prod * P
     if prod != cp:
@@ -231,16 +273,14 @@ def pcurv_data(L: OrePoly) -> PCurvData:
     for a, b in zip(invs, invs[1:]):
         if b.divmod(a)[1]:
             raise ConstantFieldViolation("invariant factors do not form a chain")
-    if len(invs) > L.field.base.p:
+    if len(invs) > field.base.p:
         raise ConstantFieldViolation("more invariant factors than p")
-    roots = [invariants_pth_root(P) for P in invs]
-    return PCurvData(
-        matrix=M,
-        matrix_constants=matrix_to_constants(M),
-        charpoly=cp,
-        invariants=invs,
-        invariant_roots=roots,
-    )
+    data = PCurvData(field, rows, c, cp, invs,
+                     [invariants_pth_root(P) for P in invs])
+    if M is not None:
+        # the cached matrix property's slot: a later read reuses this one
+        data.__dict__["matrix"] = M
+    return data
 
 
 def separable_factors(root: Poly):

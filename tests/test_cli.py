@@ -570,3 +570,34 @@ def test_ore_product_bound(capsys, monkeypatch):
     assert parse_operator("(1/(t^64+1))*D^8", fq_make(3)).order == 8
     # polynomials in Y commute: their products keep the plain sum
     assert parse_ypoly("Y^1024*(1/(t^64+1))", fq_make(3)).degree == 1024
+
+
+def test_ore_product_bound_counts_only_denominators_twice(capsys, monkeypatch):
+    # derivatives of a polynomial coefficient lose degree: an operator
+    # product A*B is sized t(A) + t(B) + ord A * tden(B), so polynomial right
+    # factors keep the plain sum and fractions still grow with ord A
+    import oredecomp.cli as cli
+
+    F3 = fq_make(3)
+    assert run(["decompose", "--p", "3", "--expr", "D*t^40000", "--no-verify"]) == 0
+    capsys.readouterr()
+    L = parse_operator("D*t^40000", F3)
+    assert L.order == 1 and L.coeffs[1].num.degree == 40000
+    assert parse_operator("D^2*t^30000", F3).order == 2
+    assert run(["decompose", "--p", "3", "--expr", "D^1024*(1/(t^64+1))"]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["class"] == "ExprSyntaxError"
+    assert doc["error"].startswith("product too large")
+    assert doc["error"].endswith("(at position 6)")
+    L = parse_operator("D^8*(1/(t^3+t+1))", fq_make(101))
+    assert L.order == 8 and max(c.den.degree for c in L.coeffs) == 27
+    # the text's pass carries the denominator degree through a power and a
+    # quotient, and refuses before anything is built
+    calls = []
+    power = cli.binary_power
+    monkeypatch.setattr(cli, "binary_power",
+                        lambda x, e, one: calls.append(e) or power(x, e, one))
+    for text, pos in (("D^2*(1/(t^3+1))^20000", 3), ("D^3*(t/(t^2+1))^10000", 3)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_operator(text, F3)
+        assert err.value.position == pos and calls == []

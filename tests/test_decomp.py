@@ -780,15 +780,15 @@ def test_a_block_holding_every_factor_evaluates_no_matrix_polynomial(monkeypatch
     # when a block's part holds every irreducible factor of chi, N(Psi) is a
     # multiple of the minimal polynomial, so W = 0 and the block is monic L
     import oredecomp.decomp as decomp_mod
-    from oredecomp.linalg import mat_eval_poly
+    from oredecomp.linalg import frac_poly_e0
 
     calls = []
 
-    def counting(P, M):
+    def counting(P, rows, den):
         calls.append(P)
-        return mat_eval_poly(P, M)
+        return frac_poly_e0(P, rows, den)
 
-    monkeypatch.setattr(decomp_mod, "mat_eval_poly", counting)
+    monkeypatch.setattr(decomp_mod, "frac_poly_e0", counting)
     R3, t3, D3, _ = _setup(3)
     R5, t5, D5, _ = _setup(5)
     airy = ore_pow(D5, 2) - OrePoly.const(R5, t5)  # chi's root Y^2 - t

@@ -4,8 +4,8 @@ import pytest
 
 from oredecomp.errors import InseparableFactor, ZeroOrder
 from oredecomp.fieldkit import Poly, RatFuncField, fq_make, poly_gcd
-from oredecomp.linalg import invariant_factors
-from oredecomp.ore import OrePoly, ore_mul, ore_pow
+from oredecomp.linalg import char_poly, frac_poly_e0, invariant_factors, mat_eval_poly
+from oredecomp.ore import OrePoly, lclm, ore_mul, ore_pow
 from oredecomp.pcurv import (
     central_operator,
     central_operator_from_constants,
@@ -21,7 +21,13 @@ from oredecomp.pcurv import (
     ypoly_to_constants,
 )
 
-from helpers import pcurvature_matrix_by_steps, rand_monic_operator, rand_ratfunc, ypoly
+from helpers import (
+    pcurvature_matrix_by_steps,
+    rand_monic_operator,
+    rand_operator,
+    rand_ratfunc,
+    ypoly,
+)
 
 
 def _setup(p=3, n=1):
@@ -145,20 +151,20 @@ def test_equivalence_examples():
 
 
 def test_equivalence_reads_one_pcurvature_per_operator(monkeypatch, capsys):
-    """operators_equivalent and the CLI's equivalent build one p-curvature
-    matrix per operator: both invariants and the separability check read
-    the same record."""
+    """operators_equivalent and the CLI's equivalent run the p-curvature
+    recurrence once per operator: both invariants and the separability
+    check read the same record."""
     import oredecomp.pcurv as pcurv
     from oredecomp.cli import run
 
     calls = []
-    original = pcurv.pcurvature_matrix
+    original = pcurv._pcurvature_fraction
 
     def counting(L):
         calls.append(L)
         return original(L)
 
-    monkeypatch.setattr(pcurv, "pcurvature_matrix", counting)
+    monkeypatch.setattr(pcurv, "_pcurvature_fraction", counting)
     R5 = RatFuncField(fq_make(5))
     D5 = OrePoly.partial(R5)
     shifted = OrePoly(R5, [R5.from_int(2) / R5.t, R5.one])
@@ -197,6 +203,86 @@ def test_matrix_matches_step_by_step_oracle(p, n):
         ops += [rand_monic_operator(R, rng, order, 1, 1) for _ in range(2)]
         for L in ops:
             assert pcurvature_matrix(L) == pcurvature_matrix_by_steps(L)
+
+
+def _inseparable_operators(R):
+    """Operators of order <= 4 whose chi is inseparable: the central
+    D^p - c(t^p), when p <= 4, and LCLM(D - 1, D - 1 - 1/t), whose
+    p-curvature is the identity (both factors have p-curvature 1)."""
+    t, one = R.t, R.one
+    p = R.base.p
+    ops = [lclm([OrePoly(R, [-one, one]), OrePoly(R, [-(one + one / t), one])])]
+    if p <= 4:
+        c = ((t + one) / (t * t + R.from_int(2))).inflate(p)
+        ops.append(OrePoly(R, [-c] + [R.zero] * (p - 1) + [one]))
+    return ops
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (17, 1)])
+def test_record_reads_chi_matrix_and_block_vector_off_the_numerators(p, n):
+    """chi from W and c, the lazily reduced matrix and P(Psi) e_0 by vector
+    Horner agree with the step-by-step matrix and the matrix Horner."""
+    R = RatFuncField(fq_make(p, n))
+    rng = random.Random(300 * p + n)
+    ops = _inseparable_operators(R)
+    for order in (1, 2, 3, 4):
+        ops += _poles_operators(R, order)
+        ops += [rand_monic_operator(R, rng, order, 1, 1),
+                rand_operator(R, rng, order, 1, 1)]
+    inseparable = 0
+    for L in ops:
+        data = pcurv_data(L)
+        M = pcurvature_matrix_by_steps(L)
+        assert data.charpoly == ypoly_to_constants(char_poly(M))
+        inseparable += poly_gcd(data.charpoly, data.charpoly.derivative()).degree > 0
+        assert data.matrix == M
+        for deg in (0, 1, 2, 3):
+            coeffs = [rand_ratfunc(R, rng, 1, 1) for _ in range(deg)]
+            P = Poly(R, coeffs + [rand_ratfunc(R, rng, 1, 1, nonzero=True)])
+            column = [row[0] for row in mat_eval_poly(P, data.matrix).rows]
+            assert frac_poly_e0(P, data.numerators, data.denominator) == column
+        assert frac_poly_e0(Poly.zero(R), data.numerators, data.denominator) == [R.zero] * L.order
+    assert inseparable >= len(_inseparable_operators(R))
+
+
+def test_record_runs_the_recurrence_once_and_reduces_only_when_read(monkeypatch):
+    import oredecomp.pcurv as pcurv
+    from oredecomp.decomp import lclm_decompose
+
+    counts = {"recurrence": 0, "reduced": 0}
+    recurrence, reduced = pcurv._pcurvature_fraction, pcurv._reduced_matrix
+
+    def counting_recurrence(L):
+        counts["recurrence"] += 1
+        return recurrence(L)
+
+    def counting_reduced(field, rows, c):
+        counts["reduced"] += 1
+        return reduced(field, rows, c)
+
+    monkeypatch.setattr(pcurv, "_pcurvature_fraction", counting_recurrence)
+    monkeypatch.setattr(pcurv, "_reduced_matrix", counting_reduced)
+    R, t, D, one = _setup()
+    # an inseparable chi reads the matrix once, for the Smith form
+    central = ore_pow(D, 3) - OrePoly.const(R, (t ** 3 + R.one) / (t ** 3 + R.from_int(2)))
+    data = pcurv_data(central)
+    assert counts == {"recurrence": 1, "reduced": 1}
+    assert data.matrix == pcurvature_matrix_by_steps(central)
+    assert data.matrix_constants is not None
+    assert counts == {"recurrence": 1, "reduced": 1}
+    # a squarefree chi reduces nothing until the matrix is read
+    counts.update(recurrence=0, reduced=0)
+    L = ore_pow(D, 2) - OrePoly.const(R, t * t)
+    data = pcurv_data(L)
+    assert len(data.invariants) == 1 and "matrix" not in vars(data)
+    assert counts == {"recurrence": 1, "reduced": 0}
+    assert data.matrix_constants is None and data.matrix == pcurvature_matrix(L)
+    assert counts == {"recurrence": 2, "reduced": 2}
+    # the pipeline's blocks come from the numerators
+    counts.update(recurrence=0, reduced=0)
+    report = lclm_decompose(L, seed=0)
+    assert report.verified and len(report.factors) == 2
+    assert counts == {"recurrence": 1, "reduced": 0}
 
 
 def _smith_invariants(L):
